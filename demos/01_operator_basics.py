@@ -8,7 +8,7 @@ and what each application costs.
 
 import numpy as np
 
-from signadd import OpCounter, mf_complex, mf_real, mf_sign, vector_product
+from signadd import OpCountReport, mf_complex, mf_real, mf_sign, vector_product
 
 print("== scalars ==")
 for a, b in [(3, 2), (-1.5, 2), (7, 0), (-3, -4)]:
@@ -35,9 +35,6 @@ print(f"  one-sided scaling: (2*2) (*) 2 = {mf_real(4, 2)}  but  "
 print("  so input gain is a real parameter of anything built on this operator")
 
 print("\n== cost accounting ==")
-counter = OpCounter()
-for _ in range(1000):
-    mf_complex(1 + 2j, 3 - 1j, counter=counter)
-r = counter.report()
+r = OpCountReport.complex(1000)
 print(f"  1000 complex applications -> {r.sign_ops} signs, {r.abs_ops} "
       f"absolute values, {r.add_ops} additions, {r.complex_mul_ops} multiplies")

@@ -1,7 +1,8 @@
 """Cost scaling of the multiplication-free transforms.
 
-Measured counts come from the instrumented transforms; analytic ones from
-the closed forms.  The direct nonlinear transform costs N^2 complex
+Each transform reports its cost-model count with its result
+(``Spectrum.op_counts``); the table checks those counts against the closed
+forms.  The direct nonlinear transform costs N^2 complex
 sign-additive applications, the fast one N*(log2(N)+1), each application
 being 4 sign evaluations, 8 absolute values and 6 additions.
 """

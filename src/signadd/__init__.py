@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .operator import (
     ContractError,
     DomainError,
-    OpCounter,
     OpCountReport,
     mf_complex,
     mf_real,

@@ -35,7 +35,7 @@ from enum import Enum
 
 import numpy as np
 
-from .operator import ContractError, OpCounter, OpCountReport, _mf_complex_raw
+from .operator import ContractError, OpCountReport, _mf_complex_raw
 from .transforms import ComplexSignal, fft_exact, nfft
 
 __all__ = [
@@ -132,32 +132,42 @@ def _lag_slices(s_surv, s_ref, l: int, n: int | None):
 
 
 def lag_product_exact(s_surv, s_ref, l: int, n: int | None = None,
-                      conjugate_ref: bool = True,
-                      counter: OpCounter | None = None) -> np.ndarray:
+                      conjugate_ref: bool = True) -> np.ndarray:
     """``y[i] = s_surv[i] * conj(s_ref[i-l])`` with zero reference for i < l."""
     surv, shifted = _lag_slices(s_surv, s_ref, l, n)
     if conjugate_ref:
         shifted = np.conj(shifted)
-    if counter is not None:
-        counter.count_complex_mul(surv.size)
     return surv * shifted
 
 
 def lag_product_mf(s_surv, s_ref, l: int, n: int | None = None,
-                   conjugate_ref: bool = True,
-                   counter: OpCounter | None = None) -> np.ndarray:
+                   conjugate_ref: bool = True) -> np.ndarray:
     """Sign-additive lag product: one complex application per sample."""
     surv, shifted = _lag_slices(s_surv, s_ref, l, n)
     ref_im = -shifted.imag if conjugate_ref else shifted.imag
     rr, ri = _mf_complex_raw(surv.real, surv.imag, shifted.real, ref_im)
-    if counter is not None:
-        counter.count_complex(surv.size)
     return rr + 1j * ri
 
 
-def _surface(s_surv, s_ref, l_bins: int, n: int, variant: AmbiguityVariant,
-             lag_fn, transform_fn, transform_gain: float,
-             conjugate_ref: bool) -> AmbiguitySurface:
+# variant -> (sign-additive lag product?, nonlinear FFT?)
+_STAGES = {
+    AmbiguityVariant.EQ11: (False, False),
+    AmbiguityVariant.EQ12A: (True, True),
+    AmbiguityVariant.EQ12B: (True, False),
+    AmbiguityVariant.EQ12C: (False, True),
+}
+
+
+def compute_ambiguity(variant, s_surv, s_ref, l_bins: int, n: int,
+                      transform_input_gain: float = 1.0,
+                      conjugate_ref: bool = True) -> AmbiguitySurface:
+    """Surface of a variant given by name or enum.
+
+    The input gain reaches only the nonlinear-FFT variants; for the exact
+    transform it would rescale the whole surface and change nothing.
+    """
+    variant = AmbiguityVariant(variant)
+    mf_lag, nonlinear = _STAGES[variant]
     if l_bins < 1:
         raise ContractError("l_bins must be >= 1")
     fs = None
@@ -168,45 +178,50 @@ def _surface(s_surv, s_ref, l_bins: int, n: int, variant: AmbiguityVariant,
             fs = sig.sample_rate_hz
     if fs is None:
         raise ContractError("at least one input must be a ComplexSignal carrying a sample rate")
-    lag_counter = OpCounter()
-    tr_counter = OpCounter()
+    # The kernels are looked up by module name at call time, so a wrapper
+    # installed on that name sees every call.
+    lag_fn = lag_product_mf if mf_lag else lag_product_exact
+    transform_fn = nfft if nonlinear else fft_exact
+    gain = transform_input_gain if nonlinear else 1.0
+    lag_cost = OpCountReport.complex if mf_lag else OpCountReport.complex_mul
     rows = np.empty((l_bins, n), dtype=complex)
+    transform_counts = OpCountReport()
     for l in range(l_bins):
-        y = lag_fn(s_surv, s_ref, l, n, conjugate_ref, lag_counter)
-        if transform_gain != 1.0:
-            y = transform_gain * y
-        rows[l] = transform_fn(y, tr_counter).bins
+        y = lag_fn(s_surv, s_ref, l, n, conjugate_ref)
+        if gain != 1.0:
+            y = gain * y
+        spectrum = transform_fn(y)
+        rows[l] = spectrum.bins
+        transform_counts += spectrum.op_counts
     return AmbiguitySurface(
         values=rows,
         range_bin_m=SPEED_OF_LIGHT / fs,
         doppler_bin_hz=fs / n,
         variant=variant,
         sample_rate_hz=fs,
-        lag_op_counts=lag_counter.report(),
-        transform_op_counts=tr_counter.report(),
+        lag_op_counts=lag_cost(l_bins * n),
+        transform_op_counts=transform_counts,
     )
 
 
 def ambiguity_eq11(s_surv, s_ref, l_bins: int, n: int,
                    conjugate_ref: bool = True) -> AmbiguitySurface:
     """Classic cross-ambiguity: exact lag product, exact FFT."""
-    return _surface(s_surv, s_ref, l_bins, n, AmbiguityVariant.EQ11,
-                    lag_product_exact, fft_exact, 1.0, conjugate_ref)
+    return compute_ambiguity("eq11", s_surv, s_ref, l_bins, n, conjugate_ref=conjugate_ref)
 
 
 def ambiguity_eq12a(s_surv, s_ref, l_bins: int, n: int,
                     transform_input_gain: float = 1.0,
                     conjugate_ref: bool = True) -> AmbiguitySurface:
     """Fully sign-additive: sign-additive lag product into the nonlinear FFT."""
-    return _surface(s_surv, s_ref, l_bins, n, AmbiguityVariant.EQ12A,
-                    lag_product_mf, nfft, transform_input_gain, conjugate_ref)
+    return compute_ambiguity("eq12a", s_surv, s_ref, l_bins, n,
+                             transform_input_gain, conjugate_ref)
 
 
 def ambiguity_eq12b(s_surv, s_ref, l_bins: int, n: int,
                     conjugate_ref: bool = True) -> AmbiguitySurface:
     """Sign-additive lag product, exact Fourier transform."""
-    return _surface(s_surv, s_ref, l_bins, n, AmbiguityVariant.EQ12B,
-                    lag_product_mf, fft_exact, 1.0, conjugate_ref)
+    return compute_ambiguity("eq12b", s_surv, s_ref, l_bins, n, conjugate_ref=conjugate_ref)
 
 
 def ambiguity_eq12c(s_surv, s_ref, l_bins: int, n: int,
@@ -217,23 +232,5 @@ def ambiguity_eq12c(s_surv, s_ref, l_bins: int, n: int,
     No campaign results ship for this variant; it exists for completeness
     and is exercised by the test suite.
     """
-    return _surface(s_surv, s_ref, l_bins, n, AmbiguityVariant.EQ12C,
-                    lag_product_exact, nfft, transform_input_gain, conjugate_ref)
-
-
-def compute_ambiguity(variant, s_surv, s_ref, l_bins: int, n: int,
-                      transform_input_gain: float = 1.0,
-                      conjugate_ref: bool = True) -> AmbiguitySurface:
-    """Dispatch on variant name or enum.
-
-    The input gain reaches only the nonlinear-FFT variants; for the exact
-    transform it would rescale the whole surface and change nothing.
-    """
-    variant = AmbiguityVariant(variant)
-    if variant is AmbiguityVariant.EQ11:
-        return ambiguity_eq11(s_surv, s_ref, l_bins, n, conjugate_ref)
-    if variant is AmbiguityVariant.EQ12A:
-        return ambiguity_eq12a(s_surv, s_ref, l_bins, n, transform_input_gain, conjugate_ref)
-    if variant is AmbiguityVariant.EQ12B:
-        return ambiguity_eq12b(s_surv, s_ref, l_bins, n, conjugate_ref)
-    return ambiguity_eq12c(s_surv, s_ref, l_bins, n, transform_input_gain, conjugate_ref)
+    return compute_ambiguity("eq12c", s_surv, s_ref, l_bins, n,
+                             transform_input_gain, conjugate_ref)

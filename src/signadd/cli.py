@@ -7,26 +7,19 @@ Four subcommands, all deterministic given their flags and seeds:
 * ``ambiguity`` - full surface plus range/Doppler cuts for a scenario file.
 * ``table``     - detection/side-lobe summary over environments x noise
   cases x variants, aggregated over trial seeds.
-* ``opcount``   - measured vs analytic operation counts per transform size.
+* ``opcount``   - operation counts reported by each transform next to the
+  closed forms, per transform size.
 
 Every numeric output is CSV ('.' decimal, '\\n' line ends, full round-trip
 float formatting).  Each output references a JSON manifest written next to
 it (the manifest carries the timestamp so the CSVs themselves stay
-byte-identical across reruns).  Files are written to a temp name and
-renamed, so failures never leave partial outputs.
+byte-identical across reruns).  A command renders all its outputs before
+writing any, writes them to temp names and renames them into place, so
+failures never leave partial outputs.
 
-Scenario files are single JSON objects::
-
-    {"fm": {"fs_hz", "duration_samples", "kf", "seed"},
-     "tx_km": [x, y], "rx_km": [x, y],
-     "obstacles": [{"x_km", "y_km", "doppler_hz",
-                    "amplitude_re", "amplitude_im"}, ...],
-     "noise": {"kind": "none|awgn|eps_contaminated",
-               "snr_db"?, "eps"?, "sigma1"?, "sigma2"?, "seed"},
-     "n", "l_bins", "surv_gain", "transform_input_gain"}
-
-All keys are required unless they have a default; unknown or ill-typed
-keys fail with a message naming the key (see README for defaults).
+The scenario file format is documented in the README ("Scenario JSON");
+its key sets live in :mod:`signadd.radar`.  Unknown or ill-typed keys fail
+with a message naming the key.
 """
 
 from __future__ import annotations
@@ -38,6 +31,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
@@ -71,31 +65,37 @@ _TRANSFORMS = {
 }
 
 
-def _atomic_write(path: str, data: bytes) -> None:
-    tmp = path + ".tmp"
+def _write_outputs(prefix: str, files: dict, manifest: bytes) -> None:
+    """Write ``prefix + suffix`` for each ``{suffix: bytes}`` entry, then the
+    manifest.  Everything goes to a temp name first and is renamed into
+    place only once every write succeeded, so a failure leaves no output."""
+    paths = [prefix + suffix for suffix in files] + [prefix + ".manifest.json"]
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+        for path, data in zip(paths, [*files.values(), manifest]):
+            with open(path + ".tmp", "wb") as fh:
+                fh.write(data)
+        for path in paths:
+            os.replace(path + ".tmp", path)
+    finally:
+        for path in paths:
+            if os.path.exists(path + ".tmp"):
+                os.remove(path + ".tmp")
 
 
-def _write_csv(path: str, header: list[str], rows, manifest_name: str) -> None:
+def _csv_bytes(header: list[str], rows, manifest_name: str) -> bytes:
     buf = io.StringIO()
     buf.write(f"# manifest={manifest_name}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
         writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
-    _atomic_write(path, buf.getvalue().encode())
+    return buf.getvalue().encode()
 
 
-def _write_manifest(prefix: str, command: str, args_desc: dict,
-                    counts: OpCountReport | None = None) -> str:
-    path = prefix + ".manifest.json"
+def _manifest(prefix: str, command: str, args_desc: dict,
+              counts: OpCountReport | None = None) -> tuple[str, bytes]:
+    """(file name, bytes) of the manifest that the outputs under ``prefix``
+    reference."""
     doc = {
         "tool": f"signadd {__version__}",
         "created_utc": datetime.now(timezone.utc).isoformat(),
@@ -105,15 +105,9 @@ def _write_manifest(prefix: str, command: str, args_desc: dict,
             json.dumps(args_desc, sort_keys=True).encode()).hexdigest(),
     }
     if counts is not None:
-        doc["op_counts"] = {
-            "sign_ops": counts.sign_ops,
-            "abs_ops": counts.abs_ops,
-            "add_ops": counts.add_ops,
-            "complex_mf_ops": counts.complex_mf_ops,
-            "complex_mul_ops": counts.complex_mul_ops,
-        }
-    _atomic_write(path, (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
-    return os.path.basename(path)
+        doc["op_counts"] = asdict(counts)
+    data = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+    return os.path.basename(prefix) + ".manifest.json", data
 
 
 def _read_signal_csv(path: str) -> np.ndarray:
@@ -143,23 +137,22 @@ def _cmd_transform(args) -> int:
             raise ContractError(
                 f"transform: --n {args.n} does not match input length {x.size}")
     spectrum = _TRANSFORMS[args.kind](x)
-    manifest = _write_manifest(
+    name, manifest = _manifest(
         args.out, "transform",
         {"kind": args.kind, "n": int(x.size), "tone": args.tone,
          "input": args.input},
         spectrum.op_counts)
     mag = spectrum.magnitude()
-    _write_csv(
-        args.out + ".spectrum.csv",
+    files = {".spectrum.csv": _csv_bytes(
         ["k", "re", "im", "magnitude"],
         [(k, float(b.real), float(b.imag), float(m))
          for k, (b, m) in enumerate(zip(spectrum.bins, mag))],
-        manifest)
+        name)}
     if args.svg:
-        svg = line_svg(np.arange(x.size), mag,
-                       f"{args.kind} magnitude, N={x.size}", "bin k",
-                       "|X[k]|", manifest)
-        _atomic_write(args.out + ".spectrum.svg", svg.encode())
+        files[".spectrum.svg"] = line_svg(
+            np.arange(x.size), mag, f"{args.kind} magnitude, N={x.size}",
+            "bin k", "|X[k]|", name).encode()
+    _write_outputs(args.out, files, manifest)
     return 0
 
 
@@ -171,52 +164,45 @@ def _cmd_ambiguity(args) -> int:
         scn = reseed_scenario(scn, args.seed)
     conjugate = args.conjugate_ref == "on"
     surface = surface_for_scenario(scn, args.variant, conjugate_ref=conjugate)
-    manifest = _write_manifest(
+    name, manifest = _manifest(
         args.out, "ambiguity",
         {"scenario_sha256": scenario_hash(scn), "variant": args.variant,
          "seed": args.seed, "conjugate_ref": args.conjugate_ref},
         surface.op_counts)
 
     db = surface.magnitude_db()
-    _write_csv(
-        args.out + ".surface.csv",
-        ["l", "p", "magnitude_db"],
-        ((l, p, float(db[l, p]))
-         for l in range(surface.l_bins) for p in range(surface.n)),
-        manifest)
-
     ls, range_km, row_db = surface.range_cut()
-    _write_csv(
-        args.out + ".range_cut.csv",
-        ["l", "bistatic_range_km", "magnitude_db"],
-        [(int(l), float(r), float(v)) for l, r, v in zip(ls, range_km, row_db)],
-        manifest)
-
     freqs, col_db = surface.doppler_cut()
-    _write_csv(
-        args.out + ".doppler_cut.csv",
-        ["doppler_hz", "magnitude_db"],
-        [(float(f), float(v)) for f, v in zip(freqs, col_db)],
-        manifest)
-
+    files = {
+        ".surface.csv": _csv_bytes(
+            ["l", "p", "magnitude_db"],
+            ((l, p, float(db[l, p]))
+             for l in range(surface.l_bins) for p in range(surface.n)),
+            name),
+        ".range_cut.csv": _csv_bytes(
+            ["l", "bistatic_range_km", "magnitude_db"],
+            [(int(l), float(r), float(v)) for l, r, v in zip(ls, range_km, row_db)],
+            name),
+        ".doppler_cut.csv": _csv_bytes(
+            ["doppler_hz", "magnitude_db"],
+            [(float(f), float(v)) for f, v in zip(freqs, col_db)],
+            name),
+    }
     if args.svg:
-        _atomic_write(args.out + ".range_cut.svg",
-                      line_svg(range_km, row_db,
-                               f"range cut ({args.variant})",
-                               "bistatic range [km]", "level [dB]",
-                               manifest).encode())
-        _atomic_write(args.out + ".doppler_cut.svg",
-                      line_svg(freqs, col_db,
-                               f"Doppler cut ({args.variant})",
-                               "Doppler [Hz]", "level [dB]",
-                               manifest).encode())
+        files[".range_cut.svg"] = line_svg(
+            range_km, row_db, f"range cut ({args.variant})",
+            "bistatic range [km]", "level [dB]", name).encode()
+        files[".doppler_cut.svg"] = line_svg(
+            freqs, col_db, f"Doppler cut ({args.variant})",
+            "Doppler [Hz]", "level [dB]", name).encode()
+    _write_outputs(args.out, files, manifest)
     return 0
 
 
 def _load_table_set(path: str) -> list:
     from dataclasses import replace
 
-    from .radar import NoiseModel, scenario_from_dict
+    from .radar import noise_from_dict, scenario_from_dict
 
     if path == "default":
         return default_table_rows()
@@ -225,22 +211,25 @@ def _load_table_set(path: str) -> list:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SchemaError("table set must be a JSON object")
     for key in ("environments", "noises", "variants"):
         if key not in doc:
             raise SchemaError(f"missing required key '{key}' in table set")
-    rows = []
-    for variant in doc["variants"]:
-        AmbiguityVariant(variant)
-        for env in doc["environments"]:
-            if "name" not in env or "scenario" not in env:
-                raise SchemaError("each environment needs 'name' and 'scenario'")
-            base = scenario_from_dict(env["scenario"])
-            for noise_doc in doc["noises"]:
-                noise_kwargs = dict(noise_doc)
-                kind = noise_kwargs.pop("kind", "none")
-                noise = NoiseModel(kind=kind, **noise_kwargs)
-                rows.append((env["name"], replace(base, noise=noise), variant))
-    return rows
+        if not isinstance(doc[key], list):
+            raise SchemaError(f"key '{key}' must be a list")
+    for i, variant in enumerate(doc["variants"]):
+        if variant not in [v.value for v in AmbiguityVariant]:
+            raise SchemaError(f"key 'variants[{i}]' must be one of "
+                              f"{[v.value for v in AmbiguityVariant]}, got {variant!r}")
+    envs = []
+    for i, env in enumerate(doc["environments"]):
+        if not (isinstance(env, dict) and "name" in env and "scenario" in env):
+            raise SchemaError(f"key 'environments[{i}]' needs 'name' and 'scenario'")
+        envs.append((env["name"], scenario_from_dict(env["scenario"])))
+    noises = [noise_from_dict(nd, f"noises[{i}]") for i, nd in enumerate(doc["noises"])]
+    return [(name, replace(base, noise=noise), variant)
+            for variant in doc["variants"] for name, base in envs for noise in noises]
 
 
 def _cmd_table(args) -> int:
@@ -255,17 +244,16 @@ def _cmd_table(args) -> int:
     rows = _load_table_set(args.set)
     results = run_table(rows, seeds=seeds,
                         conjugate_ref=args.conjugate_ref == "on")
-    manifest = _write_manifest(
+    name, manifest = _manifest(
         args.out, "table",
         {"set": args.set, "seeds": list(seeds), "rows": len(results)})
-    _write_csv(
-        args.out + ".table.csv",
+    _write_outputs(args.out, {".table.csv": _csv_bytes(
         ["environment", "variant", "noise", "performance",
          "sidelobe_floor_db", "trials", "seeds"],
         [(r.environment, r.variant, r.noise, r.performance,
           float(r.sidelobe_floor_db), r.trials,
           " ".join(str(s) for s in r.seeds)) for r in results],
-        manifest)
+        name)}, manifest)
     return 0
 
 
@@ -273,29 +261,25 @@ def _cmd_opcount(args) -> int:
     rows = []
     for n in args.n_list:
         tone = unit_tone(min(1, n - 1), n)
-        for kind, fn, analytic_mf, analytic_mul in (
-            ("ndft", ndft, ndft_complex_ops(n), 0),
-            ("nfft", nfft, nfft_complex_ops(n), 0),
-            ("fft", fft_exact, 0, fft_complex_muls(n)),
-            ("dft", dft_exact, 0, dft_complex_muls(n)),
+        for kind, fn, model in (
+            ("ndft", ndft, OpCountReport.complex(ndft_complex_ops(n))),
+            ("nfft", nfft, OpCountReport.complex(nfft_complex_ops(n))),
+            ("fft", fft_exact, OpCountReport.complex_mul(fft_complex_muls(n))),
+            ("dft", dft_exact, OpCountReport.complex_mul(dft_complex_muls(n))),
         ):
             c = fn(tone).op_counts
             rows.append((
                 n, kind,
-                c.complex_mf_ops, analytic_mf,
-                c.sign_ops, 4 * analytic_mf,
-                c.abs_ops, 8 * analytic_mf,
-                c.add_ops, 6 * analytic_mf,
-                c.complex_mul_ops, analytic_mul,
-                "yes" if (c.complex_mf_ops == analytic_mf
-                          and c.sign_ops == 4 * analytic_mf
-                          and c.abs_ops == 8 * analytic_mf
-                          and c.add_ops == 6 * analytic_mf
-                          and c.complex_mul_ops == analytic_mul) else "no",
+                c.complex_mf_ops, model.complex_mf_ops,
+                c.sign_ops, model.sign_ops,
+                c.abs_ops, model.abs_ops,
+                c.add_ops, model.add_ops,
+                c.complex_mul_ops, model.complex_mul_ops,
+                "yes" if c == model else "no",
             ))
-    manifest = _write_manifest(args.out, "opcount", {"n_list": args.n_list})
-    _write_csv(
-        args.out + ".opcount.csv",
+    name, manifest = _manifest(args.out, "opcount", {"n_list": args.n_list})
+    # The "measured" columns hold the counts each transform reports.
+    _write_outputs(args.out, {".opcount.csv": _csv_bytes(
         ["n", "transform",
          "complex_mf_measured", "complex_mf_analytic",
          "sign_measured", "sign_analytic",
@@ -303,7 +287,7 @@ def _cmd_opcount(args) -> int:
          "add_measured", "add_analytic",
          "complex_mul_measured", "complex_mul_analytic",
          "matches"],
-        rows, manifest)
+        rows, name)}, manifest)
     print(f"butterfly counts: " + ", ".join(
         f"N={n}: {nfft_butterflies(n)}" for n in args.n_list))
     return 0
@@ -360,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--conjugate-ref", choices=["on", "off"], default="on")
     p.set_defaults(func=_cmd_table)
 
-    p = sub.add_parser("opcount", help="measured vs analytic operation counts")
+    p = sub.add_parser("opcount", help="reported vs analytic operation counts")
     p.add_argument("--n-list", type=_n_list, default=[2, 4, 8, 16, 32, 64],
                    help="comma-separated transform sizes (powers of two)")
     p.add_argument("--out", required=True, help="output prefix")

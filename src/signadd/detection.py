@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .ambiguity import AmbiguitySurface, AmbiguityVariant, compute_ambiguity
-from .operator import ContractError, OpCounter, OpCountReport
+from .operator import ContractError, OpCountReport
 from .radar import Scenario, build_signals, reseed_scenario, true_bins
 
 __all__ = [
@@ -223,17 +223,12 @@ def run_table(rows: Sequence[tuple[str, Scenario, str]],
         raise ContractError("run_table: need at least one trial seed")
     out = []
     for env_name, scn, variant in rows:
-        totals = OpCounter()
+        totals = OpCountReport()
         reports = []
         for seed in seeds:
             trial = reseed_scenario(scn, seed)
             surface = surface_for_scenario(trial, variant, conjugate_ref)
-            counts = surface.op_counts
-            totals.sign_ops += counts.sign_ops
-            totals.abs_ops += counts.abs_ops
-            totals.add_ops += counts.add_ops
-            totals.complex_mf_ops += counts.complex_mf_ops
-            totals.complex_mul_ops += counts.complex_mul_ops
+            totals += surface.op_counts
             reports.append(classify(surface, trial, guard))
         out.append(TableRow(
             environment=env_name,
@@ -244,7 +239,7 @@ def run_table(rows: Sequence[tuple[str, Scenario, str]],
                 r.sidelobe_floor_db for r in reports)),
             trials=len(seeds),
             seeds=tuple(seeds),
-            op_counts=totals.report(),
+            op_counts=totals,
         ))
     return out
 

@@ -6,11 +6,12 @@ the three-valued sign of the would-be product is kept.  The complex
 extension applies the real operation to the four component pairs the same
 way a complex multiplication would.
 
-Costs are counted in the operator's own currency: one real application is
-1 sign, 2 absolute values and 1 addition; one complex application is 4 real
-applications plus 2 combining additions, i.e. 4 signs, 8 absolute values
-and 6 additions.  Counting is opt-in: pass an :class:`OpCounter` and it is
-incremented; counters are single-owner and merged by summation.
+Costs are stated in the operator's own currency by :class:`OpCountReport`:
+one real application is 1 sign, 2 absolute values and 1 addition; one
+complex application is 4 real applications plus 2 combining additions,
+i.e. 4 signs, 8 absolute values and 6 additions.  The kernels here count
+nothing; each transform reports its analytic cost as an ``OpCountReport``
+and counts of separate computations combine with ``+``.
 
 All functions accept scalars or numpy arrays (broadcasting applies) and
 reject NaN/Inf operands, because the sign of a non-finite product is
@@ -19,7 +20,7 @@ meaningless and would silently corrupt anything built on top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -27,7 +28,6 @@ __all__ = [
     "ContractError",
     "DomainError",
     "OpCountReport",
-    "OpCounter",
     "mf_sign",
     "mf_real",
     "mf_complex",
@@ -46,67 +46,31 @@ class ContractError(ValueError):
 
 @dataclass(frozen=True)
 class OpCountReport:
-    """Immutable snapshot of accumulated operation counts."""
+    """Operation counts of a computation under the operator's cost model."""
 
     sign_ops: int = 0
     abs_ops: int = 0
     add_ops: int = 0
     complex_mf_ops: int = 0
     complex_mul_ops: int = 0
+
+    @classmethod
+    def real(cls, n: int) -> "OpCountReport":
+        """``n`` real sign-additive applications."""
+        return cls(sign_ops=n, abs_ops=2 * n, add_ops=n)
+
+    @classmethod
+    def complex(cls, n: int) -> "OpCountReport":
+        """``n`` complex sign-additive applications."""
+        return cls(sign_ops=4 * n, abs_ops=8 * n, add_ops=6 * n, complex_mf_ops=n)
+
+    @classmethod
+    def complex_mul(cls, n: int) -> "OpCountReport":
+        """``n`` ordinary complex multiplications."""
+        return cls(complex_mul_ops=n)
 
     def __add__(self, other: "OpCountReport") -> "OpCountReport":
-        return OpCountReport(
-            self.sign_ops + other.sign_ops,
-            self.abs_ops + other.abs_ops,
-            self.add_ops + other.add_ops,
-            self.complex_mf_ops + other.complex_mf_ops,
-            self.complex_mul_ops + other.complex_mul_ops,
-        )
-
-
-@dataclass
-class OpCounter:
-    """Mutable accumulator for operation counts.
-
-    One counter per worker; concurrent accumulation into a shared counter is
-    not supported.  Merge per-worker counters afterwards with :meth:`merge`.
-    """
-
-    sign_ops: int = 0
-    abs_ops: int = 0
-    add_ops: int = 0
-    complex_mf_ops: int = 0
-    complex_mul_ops: int = 0
-
-    def count_real(self, n: int = 1) -> None:
-        self.sign_ops += n
-        self.abs_ops += 2 * n
-        self.add_ops += n
-
-    def count_complex(self, n: int = 1) -> None:
-        self.sign_ops += 4 * n
-        self.abs_ops += 8 * n
-        self.add_ops += 6 * n
-        self.complex_mf_ops += n
-
-    def count_complex_mul(self, n: int = 1) -> None:
-        self.complex_mul_ops += n
-
-    def merge(self, other: "OpCounter") -> None:
-        self.sign_ops += other.sign_ops
-        self.abs_ops += other.abs_ops
-        self.add_ops += other.add_ops
-        self.complex_mf_ops += other.complex_mf_ops
-        self.complex_mul_ops += other.complex_mul_ops
-
-    def report(self) -> OpCountReport:
-        return OpCountReport(
-            self.sign_ops,
-            self.abs_ops,
-            self.add_ops,
-            self.complex_mf_ops,
-            self.complex_mul_ops,
-        )
+        return OpCountReport(*(a + b for a, b in zip(astuple(self), astuple(other))))
 
 
 def _require_finite(name: str, *values) -> None:
@@ -143,20 +107,18 @@ def mf_sign(a, b):
     return s.astype(int)
 
 
-def mf_real(a, b, counter: OpCounter | None = None):
+def mf_real(a, b):
     """Sign-additive product of two reals: ``sign(a*b) * (|a| + |b|)``."""
     _require_finite("mf_real", a, b)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     out = _mf_real_raw(a, b)
-    if counter is not None:
-        counter.count_real(out.size)
     if out.ndim == 0:
         return float(out)
     return out
 
 
-def mf_complex(a, b, counter: OpCounter | None = None):
+def mf_complex(a, b):
     """Complex sign-additive product.
 
     Mirrors complex multiplication with every real product replaced:
@@ -168,15 +130,13 @@ def mf_complex(a, b, counter: OpCounter | None = None):
     b = np.asarray(b, dtype=complex)
     _require_finite("mf_complex", a.real, a.imag, b.real, b.imag)
     rr, ri = _mf_complex_raw(a.real, a.imag, b.real, b.imag)
-    if counter is not None:
-        counter.count_complex(np.broadcast(a, b).size)
     out = rr + 1j * ri
     if out.ndim == 0:
         return complex(out)
     return out
 
 
-def vector_product(x, y, counter: OpCounter | None = None) -> float:
+def vector_product(x, y) -> float:
     """Sum of element-wise sign-additive products of two equal-length vectors.
 
     For ``x == y`` this is twice the l1 norm of ``x``.
@@ -191,17 +151,11 @@ def vector_product(x, y, counter: OpCounter | None = None) -> float:
     if x.size < 1:
         raise ContractError("vector_product: vectors must have length >= 1")
     _require_finite("vector_product", x, y)
-    terms = _mf_real_raw(x, y)
-    if counter is not None:
-        counter.count_real(x.size)
-    return float(np.sum(terms))
+    return float(np.sum(_mf_real_raw(x, y)))
 
 
-def scalar_vector(a, x, counter: OpCounter | None = None) -> np.ndarray:
+def scalar_vector(a, x) -> np.ndarray:
     """Apply the sign-additive product of a scalar against each element."""
     _require_finite("scalar_vector", a, x)
     x = np.asarray(x, dtype=float)
-    out = _mf_real_raw(float(a), x)
-    if counter is not None:
-        counter.count_real(x.size)
-    return out
+    return _mf_real_raw(float(a), x)

@@ -47,6 +47,7 @@ __all__ = [
     "build_signals",
     "reseed_scenario",
     "scenario_to_dict",
+    "noise_from_dict",
     "scenario_from_dict",
     "load_scenario",
     "save_scenario",
@@ -322,6 +323,35 @@ def _num(doc: dict, key: str, where: str, default=None):
     return v
 
 
+def noise_from_dict(doc: dict, name: str) -> NoiseModel:
+    """Parse a noise object found under key ``name`` of its document."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"key '{name}' must be an object")
+    where = name + "."
+    _check_keys(doc, _NOISE_KEYS, where)
+    kind_raw = doc.get("kind", "none")
+    try:
+        kind = NoiseKind(kind_raw)
+    except ValueError:
+        raise SchemaError(f"key '{where}kind' must be one of "
+                          f"{[k.value for k in NoiseKind]}, got {kind_raw!r}")
+    if kind is NoiseKind.AWGN and "snr_db" not in doc:
+        raise SchemaError(f"missing required key '{where}snr_db' for awgn noise")
+    if kind is NoiseKind.EPS_CONTAMINATED:
+        for key in ("eps", "sigma1", "sigma2"):
+            if key not in doc:
+                raise SchemaError(f"missing required key '{where}{key}' "
+                                  f"for eps_contaminated noise")
+    return NoiseModel(
+        kind=kind,
+        snr_db=float(_num(doc, "snr_db", where, 0.0)),
+        eps=float(_num(doc, "eps", where, 0.9)),
+        sigma1=float(_num(doc, "sigma1", where, 0.25)),
+        sigma2=float(_num(doc, "sigma2", where, 10.0)),
+        seed=int(_num(doc, "seed", where, 0)),
+    )
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise SchemaError("scenario document must be a JSON object")
@@ -366,31 +396,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
                               float(_num(ob, "amplitude_im", where, 0.0))),
         ))
 
-    noise_doc = doc.get("noise", {"kind": "none"})
-    if not isinstance(noise_doc, dict):
-        raise SchemaError("key 'noise' must be an object")
-    _check_keys(noise_doc, _NOISE_KEYS, "noise.")
-    kind_raw = noise_doc.get("kind", "none")
-    try:
-        kind = NoiseKind(kind_raw)
-    except ValueError:
-        raise SchemaError(f"key 'noise.kind' must be one of "
-                          f"{[k.value for k in NoiseKind]}, got {kind_raw!r}")
-    if kind is NoiseKind.AWGN and "snr_db" not in noise_doc:
-        raise SchemaError("missing required key 'noise.snr_db' for awgn noise")
-    if kind is NoiseKind.EPS_CONTAMINATED:
-        for key in ("eps", "sigma1", "sigma2"):
-            if key not in noise_doc:
-                raise SchemaError(f"missing required key 'noise.{key}' "
-                                  f"for eps_contaminated noise")
-    noise = NoiseModel(
-        kind=kind,
-        snr_db=float(_num(noise_doc, "snr_db", "noise.", 0.0)),
-        eps=float(_num(noise_doc, "eps", "noise.", 0.9)),
-        sigma1=float(_num(noise_doc, "sigma1", "noise.", 0.25)),
-        sigma2=float(_num(noise_doc, "sigma2", "noise.", 10.0)),
-        seed=int(_num(noise_doc, "seed", "noise.", 0)),
-    )
+    noise = noise_from_dict(doc.get("noise", {"kind": "none"}), "noise")
 
     try:
         return Scenario(

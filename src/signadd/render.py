@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .operator import ContractError
+
 __all__ = ["line_svg"]
 
 _W, _H = 720, 400
@@ -22,7 +24,7 @@ def line_svg(x, y, title: str, xlabel: str, ylabel: str,
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size != y.size or x.size < 2:
-        raise ValueError("line_svg: need two equal-length series of >= 2 points")
+        raise ContractError("line_svg: need two equal-length series of >= 2 points")
     x0, x1 = float(x.min()), float(x.max())
     y0, y1 = float(y.min()), float(y.max())
     if x1 == x0:

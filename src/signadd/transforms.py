@@ -21,7 +21,8 @@ one twiddle per output line (N per stage), so the total is
 
     2N + N*(log2(N) - 1)  ==  N*(log2(N) + 1)
 
-complex applications: Theta(N log N) with constant 1 + 1/log2(N).
+complex applications: Theta(N log N) with constant 1 + 1/log2(N).  Every
+transform reports its cost from these closed forms in ``Spectrum.op_counts``.
 
 Twiddle factors are precomputed from the closed form with quadrant-exact
 values at multiples of a quarter turn.  This matters: the sign-additive
@@ -37,13 +38,7 @@ from enum import Enum
 
 import numpy as np
 
-from .operator import (
-    ContractError,
-    DomainError,
-    OpCounter,
-    OpCountReport,
-    _mf_complex_raw,
-)
+from .operator import ContractError, DomainError, OpCountReport, _mf_complex_raw
 
 __all__ = [
     "ComplexSignal",
@@ -178,31 +173,27 @@ def _bit_reverse_perm(n: int) -> np.ndarray:
     return rev
 
 
-def dft_exact(x, counter: OpCounter | None = None) -> Spectrum:
+def dft_exact(x) -> Spectrum:
     """Direct evaluation of ``X[k] = sum_n x[n] * W^(kn)``."""
     v = _as_samples(x)
     n = v.size
     tbl = twiddle_table(n)
-    local = OpCounter()
     bins = np.empty(n, dtype=complex)
     ks = np.arange(n)
     block = max(1, (1 << 21) // max(n, 1))
     for r0 in range(0, n, block):
         rows = ks[r0 : r0 + block]
         bins[r0 : r0 + rows.size] = tbl.entries[np.outer(rows, ks) % n] @ v
-    local.count_complex_mul(n * n)
-    if counter is not None:
-        counter.merge(local)
-    return Spectrum(bins, TransformKind.DFT_EXACT, local.report())
+    return Spectrum(bins, TransformKind.DFT_EXACT,
+                    OpCountReport.complex_mul(dft_complex_muls(n)))
 
 
-def fft_exact(x, counter: OpCounter | None = None) -> Spectrum:
+def fft_exact(x) -> Spectrum:
     """Radix-2 decimation-in-time FFT; matches ``dft_exact`` to ~1e-12."""
     v = _as_samples(x)
     n = v.size
     _require_pow2(n, "fft_exact")
     tbl = twiddle_table(n)
-    local = OpCounter()
     y = v[_bit_reverse_perm(n)]
     m = 2
     while m <= n:
@@ -212,15 +203,13 @@ def fft_exact(x, counter: OpCounter | None = None) -> Spectrum:
         b = blocks[:, h:]
         w = tbl.entries[np.arange(h) * (n // m)]
         t = w[None, :] * b
-        local.count_complex_mul(b.size)
         y = np.concatenate([a + t, a - t], axis=1).reshape(-1)
         m *= 2
-    if counter is not None:
-        counter.merge(local)
-    return Spectrum(y, TransformKind.FFT_EXACT, local.report())
+    return Spectrum(y, TransformKind.FFT_EXACT,
+                    OpCountReport.complex_mul(fft_complex_muls(n)))
 
 
-def ndft(x, counter: OpCounter | None = None) -> Spectrum:
+def ndft(x) -> Spectrum:
     """Nonlinear DFT: the full DFT matrix applied with the sign-additive product.
 
     Every matrix element, the unity entries of row/column 0 included, goes
@@ -231,7 +220,6 @@ def ndft(x, counter: OpCounter | None = None) -> Spectrum:
     v = _as_samples(x)
     n = v.size
     tbl = twiddle_table(n)
-    local = OpCounter()
     acc_r = np.zeros(n)
     acc_i = np.zeros(n)
     ks = np.arange(n)
@@ -244,14 +232,11 @@ def ndft(x, counter: OpCounter | None = None) -> Spectrum:
         for col in range(n):
             acc_r[r0 : r0 + rows.size] += rr[:, col]
             acc_i[r0 : r0 + rows.size] += ri[:, col]
-    local.count_complex(n * n)
-    bins = acc_r + 1j * acc_i
-    if counter is not None:
-        counter.merge(local)
-    return Spectrum(bins, TransformKind.NDFT, local.report())
+    return Spectrum(acc_r + 1j * acc_i, TransformKind.NDFT,
+                    OpCountReport.complex(ndft_complex_ops(n)))
 
 
-def nfft(x, counter: OpCounter | None = None) -> Spectrum:
+def nfft(x) -> Spectrum:
     """Nonlinear FFT: decimation-in-time flow graph, all twiddles sign-additive.
 
     Bottom stage: each input pair goes through the full 2-point nonlinear
@@ -264,17 +249,15 @@ def nfft(x, counter: OpCounter | None = None) -> Spectrum:
     n = v.size
     _require_pow2(n, "nfft")
     tbl = twiddle_table(n)
-    local = OpCounter()
     y = v[_bit_reverse_perm(n)]
 
     a = y[0::2]
     b = y[1::2]
     ur, ui = _mf_complex_raw(1.0, 0.0, a.real, a.imag)
     tr, ti = _mf_complex_raw(1.0, 0.0, b.real, b.imag)
-    # 4 matrix entries per pair; the unity column is applied once and reused
-    # by both rows (bit-identical either way), the -1 entry is the exact
-    # negation of the unity product.
-    local.count_complex(4 * (n // 2))
+    # 4 matrix entries per pair in the cost model; the unity column is
+    # applied once and reused by both rows (bit-identical either way), the
+    # -1 entry is the exact negation of the unity product.
     y = np.empty(n, dtype=complex)
     y[0::2] = (ur + tr) + 1j * (ui + ti)
     y[1::2] = (ur - tr) + 1j * (ui - ti)
@@ -288,14 +271,12 @@ def nfft(x, counter: OpCounter | None = None) -> Spectrum:
         w = tbl.entries[np.arange(h) * (n // m)]
         t1r, t1i = _mf_complex_raw(w.real[None, :], w.imag[None, :], b.real, b.imag)
         t2r, t2i = _mf_complex_raw(-w.real[None, :], -w.imag[None, :], b.real, b.imag)
-        local.count_complex(2 * b.size)
         top = a + (t1r + 1j * t1i)
         bot = a + (t2r + 1j * t2i)
         y = np.concatenate([top, bot], axis=1).reshape(-1)
         m *= 2
-    if counter is not None:
-        counter.merge(local)
-    return Spectrum(y, TransformKind.NFFT, local.report())
+    return Spectrum(y, TransformKind.NFFT,
+                    OpCountReport.complex(nfft_complex_ops(n)))
 
 
 def peak_index(s) -> int:

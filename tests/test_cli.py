@@ -85,6 +85,16 @@ def test_transform_requires_one_source(tmp_path, capsys):
     assert "exactly one" in capsys.readouterr().err
 
 
+def test_transform_svg_failure_leaves_no_files(tmp_path, capsys):
+    # a 1-point spectrum cannot be plotted; the CSV and manifest that would
+    # precede the plot must not be written either
+    out = str(tmp_path / "c")
+    assert main(["transform", "--kind", "dft", "--tone", "0", "--n", "1",
+                 "--svg", "--out", out]) == 1
+    assert "line_svg" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 def test_transform_svg(tmp_path):
     out = str(tmp_path / "t3")
     assert main(["transform", "--kind", "ndft", "--tone", "3", "--n", "32",
@@ -268,6 +278,32 @@ def test_table_bad_set_file(tmp_path, capsys):
     p.write_text(json.dumps({"environments": []}))
     assert main(["table", "--set", str(p), "--out", str(tmp_path / "o")]) != 0
     assert "noises" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("patch,key", [
+    ({"noises": [{"kind": "awgn", "snr": 3}]}, "noises[0].snr"),
+    ({"noises": [{"kind": "awgn"}]}, "noises[0].snr_db"),
+    ({"noises": [{"kind": "laplace"}]}, "noises[0].kind"),
+    ({"variants": ["eq11", "eq13"]}, "variants[1]"),
+    ({"noises": {"kind": "none"}}, "noises"),
+    ({"environments": [{"name": "e"}]}, "environments[0]"),
+], ids=["noise-key-typo", "awgn-without-snr", "unknown-noise-kind", "unknown-variant",
+        "noises-not-a-list", "environment-without-scenario"])
+def test_table_set_schema_errors_name_key(tmp_path, capsys, patch, key):
+    scn_doc = json.loads(file_bytes(scene_path(tmp_path)).decode())
+    table_set = {
+        "environments": [{"name": "e", "scenario": scn_doc}],
+        "noises": [{"kind": "none"}],
+        "variants": ["eq11"],
+    }
+    table_set.update(patch)
+    set_path = tmp_path / "set.json"
+    set_path.write_text(json.dumps(table_set))
+    assert main(["table", "--set", str(set_path), "--seeds", "0",
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"'{key}'" in err
+    assert sorted(os.listdir(tmp_path)) == ["scene.json", "set.json"]
 
 
 # --- opcount -------------------------------------------------------------------------

@@ -12,11 +12,14 @@ from signadd import (
     Scenario,
     Obstacle,
     StereoFmConfig,
+    build_signals,
     classify,
+    compute_ambiguity,
     find_peaks,
     run_scenario,
     run_table,
     sidelobe_floor_db,
+    surface_for_scenario,
     two_targets_one_clutter,
     true_bins,
 )
@@ -198,7 +201,7 @@ def test_monotone_masking_noise_free():
     strict=True,
     reason="unreachable at the shipped parameter point: with unit echo "
     "amplitudes and mixture sigma2=10, the exact-correlation surface keeps "
-    "~20 dB of processing margin over the outlier-induced floor, so the "
+    "~23 dB of processing margin over the outlier-induced floor, so the "
     "heavy-tailed noise cannot mask it (see DECISIONS.md)",
 )
 def test_eq11_contaminated_no_detection():
@@ -263,3 +266,18 @@ def test_run_table_deterministic():
 def test_run_table_requires_seeds():
     with pytest.raises(ContractError):
         run_table([("x", _tiny_scene(), "eq11")], seeds=[])
+
+
+def test_surface_for_scenario_gain_reaches_eq12a_only():
+    scn = two_targets_one_clutter(n=256)
+    assert scn.transform_input_gain == 16.0
+    s_ref, s_surv = build_signals(scn)
+    for variant in ("eq11", "eq12a", "eq12b", "eq12c"):
+        gain = 16.0 if variant == "eq12a" else 1.0
+        want = compute_ambiguity(variant, s_surv, s_ref, scn.l_bins, scn.n, gain)
+        got = surface_for_scenario(scn, variant)
+        assert got.values.tobytes() == want.values.tobytes(), variant
+    # an explicit gain does reach the other nonlinear-FFT variant
+    plain = compute_ambiguity("eq12c", s_surv, s_ref, scn.l_bins, scn.n, 1.0)
+    gained = compute_ambiguity("eq12c", s_surv, s_ref, scn.l_bins, scn.n, 16.0)
+    assert gained.values.tobytes() != plain.values.tobytes()
