@@ -20,7 +20,7 @@ meaningless and would silently corrupt anything built on top.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,7 +70,13 @@ class OpCountReport:
         return cls(complex_mul_ops=n)
 
     def __add__(self, other: "OpCountReport") -> "OpCountReport":
-        return OpCountReport(*(a + b for a, b in zip(astuple(self), astuple(other))))
+        return OpCountReport(
+            self.sign_ops + other.sign_ops,
+            self.abs_ops + other.abs_ops,
+            self.add_ops + other.add_ops,
+            self.complex_mf_ops + other.complex_mf_ops,
+            self.complex_mul_ops + other.complex_mul_ops,
+        )
 
 
 def _require_finite(name: str, *values) -> None:
@@ -92,6 +98,32 @@ def _mf_real_raw(a, b):
 def _mf_complex_raw(ar, ai, br, bi):
     rr = _mf_real_raw(ar, br) - _mf_real_raw(ai, bi)
     ri = _mf_real_raw(ai, br) + _mf_real_raw(bi, ar)
+    return rr, ri
+
+
+def _magnitude_sums(a_abs, b_abs):
+    """``|a|+|b|`` of the four component pairs of a complex product.
+
+    ``a_abs`` and ``b_abs`` are the (real, imaginary) magnitudes of the two
+    operands; the sums come in the order :func:`_mf_complex_factored` reads.
+    """
+    (ar, ai), (br, bi) = a_abs, b_abs
+    return ar + br, ai + bi, ai + br, bi + ar
+
+
+def _mf_complex_factored(a_sign, b_sign, sums):
+    """``_mf_complex_raw`` on operands given as their factored parts.
+
+    ``a_sign`` and ``b_sign`` are the (real, imaginary) signs of the operands
+    and ``sums`` their :func:`_magnitude_sums`.  Each of the four terms is
+    today's ``(sign(a)*sign(b)) * (|a|+|b|)``, so the result is bit-identical
+    to ``_mf_complex_raw``, while callers that apply several operands to the
+    same data compute its signs and magnitudes once.
+    """
+    (ar, ai), (br, bi) = a_sign, b_sign
+    s_rr, s_ii, s_ir, s_ri = sums
+    rr = (ar * br) * s_rr - (ai * bi) * s_ii
+    ri = (ai * br) * s_ir + (bi * ar) * s_ri
     return rr, ri
 
 

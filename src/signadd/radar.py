@@ -286,6 +286,8 @@ def build_signals(scn: Scenario) -> tuple[ComplexSignal, ComplexSignal]:
 def reseed_scenario(scn: Scenario, seed: int) -> Scenario:
     """Derive a trial scenario: waveform and noise seeds both follow the
     trial seed (noise offset keeps the two streams distinct)."""
+    if seed < 0:
+        raise ContractError(f"trial seed {seed} must be >= 0")
     return replace(
         scn,
         fm=replace(scn.fm, seed=seed),
@@ -323,6 +325,13 @@ def _num(doc: dict, key: str, where: str, default=None):
     return v
 
 
+def _seed(doc: dict, where: str) -> int:
+    seed = _num(doc, "seed", where, 0)
+    if seed < 0:
+        raise SchemaError(f"key '{where}seed' must be >= 0, got {seed}")
+    return int(seed)
+
+
 def noise_from_dict(doc: dict, name: str) -> NoiseModel:
     """Parse a noise object found under key ``name`` of its document."""
     if not isinstance(doc, dict):
@@ -348,7 +357,7 @@ def noise_from_dict(doc: dict, name: str) -> NoiseModel:
         eps=float(_num(doc, "eps", where, 0.9)),
         sigma1=float(_num(doc, "sigma1", where, 0.25)),
         sigma2=float(_num(doc, "sigma2", where, 10.0)),
-        seed=int(_num(doc, "seed", where, 0)),
+        seed=_seed(doc, where),
     )
 
 
@@ -367,7 +376,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         f_s=float(_num(fm_doc, "fs_hz", "fm.", 200_000.0)),
         duration_samples=int(_num(fm_doc, "duration_samples", "fm.", n + l_bins)),
         k_f=float(_num(fm_doc, "kf", "fm.", 0.25)),
-        seed=int(_num(fm_doc, "seed", "fm.", 0)),
+        seed=_seed(fm_doc, "fm."),
     )
 
     for key in ("tx_km", "rx_km"):

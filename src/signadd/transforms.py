@@ -35,10 +35,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
-from .operator import ContractError, DomainError, OpCountReport, _mf_complex_raw
+from .operator import (
+    ContractError,
+    DomainError,
+    OpCountReport,
+    _magnitude_sums,
+    _mf_complex_factored,
+    _mf_complex_raw,
+)
 
 __all__ = [
     "ComplexSignal",
@@ -104,7 +112,9 @@ class TwiddleTable:
     """Precomputed roots of unity ``exp(-2j*pi*m/N)`` for m = 0..N-1.
 
     Entries at quarter-turn multiples are exact (1, -1j, -1, 1j); the rest
-    come from cos/sin of the reduced angle.
+    come from cos/sin of the reduced angle.  For power-of-two sizes the
+    table also caches, on first use, the bit-reversal permutation and the
+    factored twiddle parts of each ``nfft`` stage.
     """
 
     _QUADRANT = (
@@ -126,6 +136,45 @@ class TwiddleTable:
         self.n = n
         self.entries = entries
         self.entries.setflags(write=False)
+
+    @cached_property
+    def bit_reverse(self) -> np.ndarray:
+        """Bit-reversal permutation of 0..N-1 (power-of-two N)."""
+        bits = _require_pow2(self.n, "bit reversal")
+        idx = np.arange(self.n)
+        rev = np.zeros(self.n, dtype=np.intp)
+        for i in range(bits):
+            rev |= ((idx >> i) & 1) << (bits - 1 - i)
+        rev.setflags(write=False)
+        return rev
+
+    @cached_property
+    def nfft_stages(self) -> tuple:
+        """``(h, signs of w, signs of -w, magnitudes of w)`` per stage above
+        the bottom one, each part a (real, imaginary) pair of length ``h``.
+
+        The signs of ``-w`` come from ``np.sign(-w)``, not ``-np.sign(w)``:
+        ``np.sign(-0.0)`` is ``+0.0``, so the two differ in the sign of zero
+        wherever a component of ``w`` is zero.
+        """
+        n = self.n
+        _require_pow2(n, "nfft stages")
+        stages = []
+        h = 2
+        while h < n:
+            w = self.entries[np.arange(h) * (n // (2 * h))]
+            stages.append((h, _frozen_planes(np.sign, w), _frozen_planes(np.sign, -w),
+                           _frozen_planes(np.abs, w)))
+            h *= 2
+        return tuple(stages)
+
+
+def _frozen_planes(fn, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``fn`` of the real and of the imaginary plane of ``z``, read-only."""
+    planes = fn(z.real), fn(z.imag)
+    for plane in planes:
+        plane.setflags(write=False)
+    return planes
 
 
 _TABLE_CACHE: dict[int, TwiddleTable] = {}
@@ -164,15 +213,6 @@ def _require_pow2(n: int, what: str) -> int:
     return int(np.log2(n))
 
 
-def _bit_reverse_perm(n: int) -> np.ndarray:
-    bits = _require_pow2(n, "bit reversal")
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.intp)
-    for i in range(bits):
-        rev |= ((idx >> i) & 1) << (bits - 1 - i)
-    return rev
-
-
 def dft_exact(x) -> Spectrum:
     """Direct evaluation of ``X[k] = sum_n x[n] * W^(kn)``."""
     v = _as_samples(x)
@@ -194,7 +234,7 @@ def fft_exact(x) -> Spectrum:
     n = v.size
     _require_pow2(n, "fft_exact")
     tbl = twiddle_table(n)
-    y = v[_bit_reverse_perm(n)]
+    y = v[tbl.bit_reverse]
     m = 2
     while m <= n:
         h = m // 2
@@ -244,39 +284,60 @@ def nfft(x) -> Spectrum:
     unity product evaluated once).  Later stages: each output line applies
     its own twiddle to the odd branch, the second half using the exact
     negation of the first-half twiddle (W^(k+N/2) == -W^k holds exactly).
+
+    The stages run on separate real and imaginary planes.  Each stage takes
+    the signs and magnitudes of its odd branch once and shares them, and the
+    four magnitude sums, between the ``W`` and ``-W`` products; the twiddle
+    parts of ``W`` and ``-W`` and the bit-reversal permutation are cached
+    on the table (:attr:`TwiddleTable.nfft_stages`).  Every real term is
+    still ``(sign(a)*sign(b)) * (|a|+|b|)``, so the bins are bit-identical
+    to the pairwise evaluation of ``tests/oracles.py::nfft_recursive``.
     """
     v = _as_samples(x)
     n = v.size
     _require_pow2(n, "nfft")
     tbl = twiddle_table(n)
-    y = v[_bit_reverse_perm(n)]
+    y = v[tbl.bit_reverse]
 
-    a = y[0::2]
-    b = y[1::2]
-    ur, ui = _mf_complex_raw(1.0, 0.0, a.real, a.imag)
-    tr, ti = _mf_complex_raw(1.0, 0.0, b.real, b.imag)
     # 4 matrix entries per pair in the cost model; the unity column is
     # applied once and reused by both rows (bit-identical either way), the
     # -1 entry is the exact negation of the unity product.
-    y = np.empty(n, dtype=complex)
-    y[0::2] = (ur + tr) + 1j * (ui + ti)
-    y[1::2] = (ur - tr) + 1j * (ui - ti)
+    ur, ui = _mf_complex_raw(1.0, 0.0, y.real, y.imag)
+    y_r = np.empty(n)
+    y_i = np.empty(n)
+    y_r[0::2] = ur[0::2] + ur[1::2]
+    y_i[0::2] = ui[0::2] + ui[1::2]
+    y_r[1::2] = ur[0::2] - ur[1::2]
+    y_i[1::2] = ui[0::2] - ui[1::2]
 
-    m = 4
-    while m <= n:
-        h = m // 2
-        blocks = y.reshape(-1, m)
-        a = blocks[:, :h]
-        b = blocks[:, h:]
-        w = tbl.entries[np.arange(h) * (n // m)]
-        t1r, t1i = _mf_complex_raw(w.real[None, :], w.imag[None, :], b.real, b.imag)
-        t2r, t2i = _mf_complex_raw(-w.real[None, :], -w.imag[None, :], b.real, b.imag)
-        top = a + (t1r + 1j * t1i)
-        bot = a + (t2r + 1j * t2i)
-        y = np.concatenate([top, bot], axis=1).reshape(-1)
-        m *= 2
-    return Spectrum(y, TransformKind.NFFT,
+    out_r = np.empty(n)
+    out_i = np.empty(n)
+    for h, w_sign, nw_sign, w_abs in tbl.nfft_stages:
+        a_r, b_r = _halves(y_r, h)
+        a_i, b_i = _halves(y_i, h)
+        top_r, bot_r = _halves(out_r, h)
+        top_i, bot_i = _halves(out_i, h)
+        b_sign = (np.sign(b_r), np.sign(b_i))
+        sums = _magnitude_sums(w_abs, (np.abs(b_r), np.abs(b_i)))
+        t_r, t_i = _mf_complex_factored(w_sign, b_sign, sums)
+        np.add(a_r, t_r, out=top_r)
+        np.add(a_i, t_i, out=top_i)
+        t_r, t_i = _mf_complex_factored(nw_sign, b_sign, sums)
+        np.add(a_r, t_r, out=bot_r)
+        np.add(a_i, t_i, out=bot_i)
+        y_r, out_r = out_r, y_r
+        y_i, out_i = out_i, y_i
+    bins = np.empty(n, dtype=complex)
+    bins.real = y_r
+    bins.imag = y_i
+    return Spectrum(bins, TransformKind.NFFT,
                     OpCountReport.complex(nfft_complex_ops(n)))
+
+
+def _halves(plane: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of the first and second halves of each length-2h block."""
+    blocks = plane.reshape(-1, 2 * h)
+    return blocks[:, :h], blocks[:, h:]
 
 
 def peak_index(s) -> int:

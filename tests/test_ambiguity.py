@@ -12,11 +12,13 @@ from signadd import (
     ambiguity_eq12a,
     ambiguity_eq12b,
     ambiguity_eq12c,
+    build_signals,
     compute_ambiguity,
     lag_product_exact,
     lag_product_mf,
     nfft,
     peak_index,
+    two_targets_one_clutter,
 )
 
 FS = 200_000.0
@@ -35,7 +37,7 @@ def signal(samples):
     return ComplexSignal(np.asarray(samples, dtype=complex), FS)
 
 
-from oracles import direct_exact_surface as direct_surface
+from oracles import direct_exact_surface as direct_surface, nfft_recursive
 
 
 # --- lag products -----------------------------------------------------------------
@@ -215,6 +217,18 @@ def test_rows_independent_of_order():
         y = lag_product_mf(surv, ref, l, 64)
         rows_reversed[l] = nfft(16.0 * y).bins
     assert np.array_equal(a.values, rows_reversed)
+
+
+@pytest.mark.parametrize("variant,lag_fn", [("eq12a", lag_product_mf),
+                                            ("eq12c", lag_product_exact)])
+def test_nonlinear_rows_equal_recursive_oracle(variant, lag_fn):
+    # each lag row l starts with l exact zeros, which the gain keeps
+    n, l_bins, gain = 64, 64, 16.0
+    ref, surv = build_signals(two_targets_one_clutter(n=n, l_bins=l_bins))
+    surface = compute_ambiguity(variant, surv, ref, l_bins, n, transform_input_gain=gain)
+    for l in range(l_bins):
+        y = lag_fn(surv, ref, l, n)
+        assert surface.values[l].tobytes() == nfft_recursive(gain * y).tobytes()
 
 
 def test_op_count_stage_separation():

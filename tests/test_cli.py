@@ -200,6 +200,24 @@ def test_ambiguity_schema_error_names_key(tmp_path, capsys):
     assert not os.path.exists(out + ".surface.csv")
 
 
+@pytest.mark.parametrize("patch,key", [
+    ({"fm": {"seed": -1}}, "fm.seed"),
+    ({"noise": {"kind": "awgn", "snr_db": 3, "seed": -2}}, "noise.seed"),
+], ids=["fm-seed", "noise-seed"])
+def test_ambiguity_negative_scenario_seed_names_key(tmp_path, capsys, patch, key):
+    doc = json.loads(file_bytes(scene_path(tmp_path)).decode())
+    for section, values in patch.items():
+        doc.setdefault(section, {}).update(values)
+    path = tmp_path / "neg.json"
+    path.write_text(json.dumps(doc))
+    out = str(tmp_path / "x")
+    assert main(["ambiguity", "--scenario", str(path), "--variant", "eq11",
+                 "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"'{key}'" in err
+    assert sorted(os.listdir(tmp_path)) == ["neg.json", "scene.json"]
+
+
 def test_ambiguity_conjugate_off_flag(tmp_path):
     scn = scene_path(tmp_path)
     on = str(tmp_path / "on")
@@ -304,6 +322,20 @@ def test_table_set_schema_errors_name_key(tmp_path, capsys, patch, key):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"'{key}'" in err
     assert sorted(os.listdir(tmp_path)) == ["scene.json", "set.json"]
+
+
+@pytest.mark.parametrize("command,seed", [("table", -1), ("ambiguity", -3)])
+def test_negative_trial_seed_fails_cleanly(tmp_path, capsys, command, seed):
+    out = str(tmp_path / "o")
+    if command == "table":
+        argv = ["table", "--set", "default", f"--seeds={seed}", "--out", out]
+    else:
+        argv = ["ambiguity", "--scenario", scene_path(tmp_path), "--variant", "eq11",
+                f"--seed={seed}", "--out", out]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"trial seed {seed}" in err
+    assert [f for f in os.listdir(tmp_path) if f.startswith("o")] == []
 
 
 # --- opcount -------------------------------------------------------------------------

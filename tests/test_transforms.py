@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signadd import (
     ComplexSignal,
@@ -36,6 +38,7 @@ def random_signal(g, n):
 
 
 from oracles import ndft_double_loop, nfft_recursive
+from signadd.operator import _magnitude_sums, _mf_complex_factored, _mf_complex_raw
 
 
 # --- ComplexSignal / Spectrum contracts ----------------------------------------
@@ -195,6 +198,75 @@ def test_nfft_two_point_matches_ndft():
 def test_nfft_matches_recursive_bitwise(n):
     g = rng()
     x = random_signal(g, n)
+    assert nfft(x).bins.tobytes() == nfft_recursive(x).tobytes()
+
+
+def from_planes(re, im):
+    """Complex samples carrying the signs of zero of ``re`` and ``im`` as given
+    (``re + 1j*im`` would turn some -0.0 components into +0.0)."""
+    x = np.empty(len(re), dtype=complex)
+    x.real = re
+    x.imag = im
+    return x
+
+
+def planted_zero_planes(g, shape):
+    """Gaussian real and imaginary planes with +0.0 and -0.0 planted at random."""
+    planes = g.standard_normal(shape), g.standard_normal(shape)
+    for plane in planes:
+        hit = g.random(shape) < 0.4
+        plane[hit] = g.choice([0.0, -0.0], hit.sum())
+    return planes
+
+
+def zero_reaching_inputs(g, n):
+    """Inputs whose components reach +0.0 and -0.0, where the product's sign is 0."""
+    planted = [from_planes(*planted_zero_planes(g, n)) for _ in range(8)]
+    # np.round maps small negatives to -0.0
+    rounded = [from_planes(np.round(g.standard_normal(n)), np.round(g.standard_normal(n)))
+               for _ in range(4)]
+    tones = [unit_tone(k, n) for k in range(n)]
+    return {"planted-zeros": planted, "rounded": rounded, "unit-tones": tones}
+
+
+@pytest.mark.parametrize("kind", ["planted-zeros", "rounded", "unit-tones"])
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64])
+def test_nfft_matches_recursive_bitwise_signed_zeros(n, kind):
+    for x in zero_reaching_inputs(rng(), n)[kind]:
+        assert nfft(x).bins.tobytes() == nfft_recursive(x).tobytes()
+
+
+def test_nfft_stage_parts_match_pairwise_kernel():
+    # Term for term, signs of zero included: the bins cannot show these,
+    # because each product is added to an even branch that is never -0.0.
+    g = rng()
+    n = 64
+    tbl = twiddle_table(n)
+    for h, w_sign, nw_sign, w_abs in tbl.nfft_stages:
+        w = tbl.entries[np.arange(h) * (n // (2 * h))]
+        b_r, b_i = planted_zero_planes(g, (n // (2 * h), h))
+        b_sign = (np.sign(b_r), np.sign(b_i))
+        sums = _magnitude_sums(w_abs, (np.abs(b_r), np.abs(b_i)))
+        for sign, twiddle in ((w_sign, w), (nw_sign, -w)):
+            got = _mf_complex_factored(sign, b_sign, sums)
+            want = _mf_complex_raw(twiddle.real, twiddle.imag, b_r, b_i)
+            assert np.stack(got).tobytes() == np.stack(want).tobytes()
+
+
+_component = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                       st.floats(min_value=-1e100, max_value=1e100))
+
+
+@st.composite
+def pow2_planes(draw):
+    n = 2 ** draw(st.integers(min_value=1, max_value=8))
+    planes = st.lists(_component, min_size=n, max_size=n)
+    return from_planes(draw(planes), draw(planes))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pow2_planes())
+def test_nfft_matches_recursive_bitwise_property(x):
     assert nfft(x).bins.tobytes() == nfft_recursive(x).tobytes()
 
 
