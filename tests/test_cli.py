@@ -3,12 +3,15 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from signadd import NoiseKind, NoiseModel, save_scenario, two_targets_one_clutter
-from signadd.cli import main
+from signadd.cli import _load_table_set, main
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 def read_csv(path):
@@ -289,6 +292,17 @@ def test_table_default_set_has_24_rows(tmp_path):
     assert sum(r[1] == "eq11" for r in rows) == 12
     assert {r[0] for r in rows} == {"2t1c", "4t2c", "1t3c"}
     assert len({r[2] for r in rows}) == 4
+
+
+def test_table_set_example_loads():
+    # the README points users at this file as the table-set format
+    rows = _load_table_set(str(DEMOS / "table_set_example.json"))
+    assert len(rows) == 8
+    assert [v for _, _, v in rows] == ["eq12a"] * 4 + ["eq11"] * 4
+    assert {name for name, _, _ in rows} == {"2t1c"}
+    assert [scn.noise.label() for _, scn, _ in rows[:4]] == [
+        "awgn 3 dB", "awgn 6 dB", "eps-cont 0.9/0.25/10", "eps-cont 0.8/0.5/20"]
+    assert all(scn.n_targets == 2 and scn.n_clutters == 1 for _, scn, _ in rows)
 
 
 def test_table_bad_set_file(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from signadd.radar import (
 )
 
 FS = 200_000.0
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 # --- FM waveform -----------------------------------------------------------------
@@ -345,6 +347,23 @@ def test_scenario_hash_tracks_content():
     b = scenario_hash(two_targets_one_clutter(seed=1))
     assert a != b
     assert a == scenario_hash(two_targets_one_clutter(seed=0))
+
+
+# The canonical JSON of each shipped scene, hashed: manifests record these
+# digests, so a change to the schema code must leave them where they are.
+@pytest.mark.parametrize("name,digest", [
+    ("2t1c", "3934845903f175bb56b9c932087ad0117e06f1aff0a8d34de9a4621a7f2ce383"),
+    ("4t2c", "08055dc54234b1ae2f9453dcabc78c84e5665730cea83dbfdedbe0937fc7aec3"),
+    ("1t3c", "247c0e8de787be67a93373c1b2cc720e34ef3f8140fc7d7762ef0e185067e9d2"),
+    ("scenario_benchmark.json",
+     "72968d19889ab602ff2787c9897d0940998f31a98d1718a54adecc3fcf664573"),
+])
+def test_scenario_hash_pinned(name, digest):
+    if name.endswith(".json"):
+        scn = load_scenario(DEMOS / name)
+    else:
+        scn = standard_environments()[name]()
+    assert scenario_hash(scn) == digest
 
 
 # --- shipped environments -------------------------------------------------------------------
