@@ -35,10 +35,6 @@ from .ambiguity import (
     SPEED_OF_LIGHT,
     AmbiguitySurface,
     AmbiguityVariant,
-    ambiguity_eq11,
-    ambiguity_eq12a,
-    ambiguity_eq12b,
-    ambiguity_eq12c,
     compute_ambiguity,
     lag_product_exact,
     lag_product_mf,

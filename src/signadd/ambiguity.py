@@ -44,10 +44,6 @@ __all__ = [
     "AmbiguitySurface",
     "lag_product_exact",
     "lag_product_mf",
-    "ambiguity_eq11",
-    "ambiguity_eq12a",
-    "ambiguity_eq12b",
-    "ambiguity_eq12c",
     "compute_ambiguity",
 ]
 
@@ -202,35 +198,3 @@ def compute_ambiguity(variant, s_surv, s_ref, l_bins: int, n: int,
         lag_op_counts=lag_cost(l_bins * n),
         transform_op_counts=transform_counts,
     )
-
-
-def ambiguity_eq11(s_surv, s_ref, l_bins: int, n: int,
-                   conjugate_ref: bool = True) -> AmbiguitySurface:
-    """Classic cross-ambiguity: exact lag product, exact FFT."""
-    return compute_ambiguity("eq11", s_surv, s_ref, l_bins, n, conjugate_ref=conjugate_ref)
-
-
-def ambiguity_eq12a(s_surv, s_ref, l_bins: int, n: int,
-                    transform_input_gain: float = 1.0,
-                    conjugate_ref: bool = True) -> AmbiguitySurface:
-    """Fully sign-additive: sign-additive lag product into the nonlinear FFT."""
-    return compute_ambiguity("eq12a", s_surv, s_ref, l_bins, n,
-                             transform_input_gain, conjugate_ref)
-
-
-def ambiguity_eq12b(s_surv, s_ref, l_bins: int, n: int,
-                    conjugate_ref: bool = True) -> AmbiguitySurface:
-    """Sign-additive lag product, exact Fourier transform."""
-    return compute_ambiguity("eq12b", s_surv, s_ref, l_bins, n, conjugate_ref=conjugate_ref)
-
-
-def ambiguity_eq12c(s_surv, s_ref, l_bins: int, n: int,
-                    transform_input_gain: float = 1.0,
-                    conjugate_ref: bool = True) -> AmbiguitySurface:
-    """Exact lag product, nonlinear FFT.
-
-    No campaign results ship for this variant; it exists for completeness
-    and is exercised by the test suite.
-    """
-    return compute_ambiguity("eq12c", s_surv, s_ref, l_bins, n,
-                             transform_input_gain, conjugate_ref)

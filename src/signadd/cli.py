@@ -18,7 +18,7 @@ writing any, writes them to temp names and renames them into place, so
 failures never leave partial outputs.
 
 The scenario file format is documented in the README ("Scenario JSON");
-its key sets live in :mod:`signadd.radar`.  Unknown or ill-typed keys fail
+its field tables live in :mod:`signadd.radar`.  Unknown or ill-typed keys fail
 with a message naming the key.
 """
 
@@ -202,15 +202,11 @@ def _cmd_ambiguity(args) -> int:
 def _load_table_set(path: str) -> list:
     from dataclasses import replace
 
-    from .radar import noise_from_dict, scenario_from_dict
+    from .radar import _load_json, _scenario_from_dict, noise_from_dict
 
     if path == "default":
         return default_table_rows()
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON: {exc}") from exc
+    doc = _load_json(path)
     if not isinstance(doc, dict):
         raise SchemaError("table set must be a JSON object")
     for key in ("environments", "noises", "variants"):
@@ -226,7 +222,8 @@ def _load_table_set(path: str) -> list:
     for i, env in enumerate(doc["environments"]):
         if not (isinstance(env, dict) and "name" in env and "scenario" in env):
             raise SchemaError(f"key 'environments[{i}]' needs 'name' and 'scenario'")
-        envs.append((env["name"], scenario_from_dict(env["scenario"])))
+        envs.append((env["name"],
+                     _scenario_from_dict(env["scenario"], f"environments[{i}].scenario.")))
     noises = [noise_from_dict(nd, f"noises[{i}]") for i, nd in enumerate(doc["noises"])]
     return [(name, replace(base, noise=noise), variant)
             for variant in doc["variants"] for name, base in envs for noise in noises]

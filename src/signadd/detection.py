@@ -16,7 +16,7 @@ median floor.  Ties in the majority vote resolve to the worse outcome.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -194,16 +194,7 @@ def run_scenario(scn: Scenario, variant, seed: int,
                  conjugate_ref: bool = True) -> DetectionReport:
     trial = reseed_scenario(scn, seed)
     surface = surface_for_scenario(trial, variant, conjugate_ref)
-    report = classify(surface, trial, guard)
-    return DetectionReport(
-        statuses=report.statuses,
-        overall=report.overall,
-        sidelobe_floor_db=report.sidelobe_floor_db,
-        variant=report.variant,
-        noise=trial.noise.label(),
-        seed=seed,
-        peaks=report.peaks,
-    )
+    return replace(classify(surface, trial, guard), seed=seed)
 
 
 def _majority(outcomes: Sequence[str]) -> str:
@@ -247,8 +238,6 @@ def run_table(rows: Sequence[tuple[str, Scenario, str]],
 def default_table_rows() -> list[tuple[str, Scenario, str]]:
     """The shipped benchmark matrix: 3 environments x 4 noise cases x 2
     variants, the sign-additive variant first."""
-    from dataclasses import replace
-
     from .radar import NoiseKind, NoiseModel, standard_environments
 
     noises = [

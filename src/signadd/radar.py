@@ -21,8 +21,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from operator import attrgetter
 
 import numpy as np
 
@@ -296,175 +298,173 @@ def reseed_scenario(scn: Scenario, seed: int) -> Scenario:
 
 
 # --- JSON scenario schema ---------------------------------------------------
+#
+# One table per JSON object; each row is (key, attribute, type, default).
+# A default of _REQUIRED makes the key mandatory; None leaves an absent key
+# to the caller.  The parser and scenario_to_dict both read these tables.
+# Only the tx_km/rx_km pairs, the obstacle list, the amplitude parts, the
+# noise keys each kind requires and the n + l_bins duration are code.
 
-_NOISE_KEYS = {"kind", "snr_db", "eps", "sigma1", "sigma2", "seed"}
-_FM_KEYS = {"fs_hz", "duration_samples", "kf", "seed"}
-_OBSTACLE_KEYS = {"x_km", "y_km", "doppler_hz", "amplitude_re", "amplitude_im"}
-_TOP_KEYS = {"fm", "tx_km", "rx_km", "obstacles", "noise", "n", "l_bins",
-             "surv_gain", "transform_input_gain"}
+_REQUIRED = object()
+
+_TOP_FIELDS = (
+    ("n", "n", int, 4096),
+    ("l_bins", "l_bins", int, 64),
+    ("surv_gain", "surv_gain", float, 64.0),
+    ("transform_input_gain", "transform_input_gain", float, 16.0),
+)
+_FM_FIELDS = (
+    ("fs_hz", "f_s", float, 200_000.0),
+    ("duration_samples", "duration_samples", int, None),
+    ("kf", "k_f", float, 0.25),
+    ("seed", "seed", int, 0),
+)
+_OBSTACLE_FIELDS = (
+    ("x_km", "x_km", float, _REQUIRED),
+    ("y_km", "y_km", float, _REQUIRED),
+    ("doppler_hz", "doppler_hz", float, _REQUIRED),
+    ("amplitude_re", "amplitude.real", float, 1.0),
+    ("amplitude_im", "amplitude.imag", float, 0.0),
+)
+_NOISE_FIELDS = (
+    ("kind", "kind", NoiseKind, NoiseKind.NONE),
+    ("snr_db", "snr_db", float, 0.0),
+    ("eps", "eps", float, 0.9),
+    ("sigma1", "sigma1", float, 0.25),
+    ("sigma2", "sigma2", float, 10.0),
+    ("seed", "seed", int, 0),
+)
+_NOISE_NEEDS = {
+    NoiseKind.AWGN: ("snr_db",),
+    NoiseKind.EPS_CONTAMINATED: ("eps", "sigma1", "sigma2"),
+}
 
 
 class SchemaError(ValueError):
     """A scenario document violates the schema; the message names the key."""
 
 
-def _check_keys(doc: dict, allowed: set, where: str) -> None:
-    for key in doc:
-        if key not in allowed:
-            raise SchemaError(f"unknown key '{where}{key}'")
-
-
-def _num(doc: dict, key: str, where: str, default=None):
-    if key not in doc:
-        if default is None:
-            raise SchemaError(f"missing required key '{where}{key}'")
-        return default
-    v = doc[key]
+def _value(v, kind, name: str):
+    """JSON value ``v`` of key ``name`` as ``kind``: float, int or NoiseKind."""
+    if kind is NoiseKind:
+        try:
+            return NoiseKind(v)
+        except ValueError:
+            raise SchemaError(f"key '{name}' must be one of "
+                              f"{[k.value for k in NoiseKind]}, got {v!r}") from None
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SchemaError(f"key '{where}{key}' must be a number")
-    return v
+        raise SchemaError(f"key '{name}' must be a number")
+    if not abs(v) <= sys.float_info.max:  # NaN, Infinity, or an int beyond float
+        raise SchemaError(f"key '{name}' must be finite, got {v}")
+    if kind is int and v != int(v):
+        raise SchemaError(f"key '{name}' must be a whole number, got {v}")
+    return kind(v)
 
 
-def _seed(doc: dict, where: str) -> int:
-    seed = _num(doc, "seed", where, 0)
-    if seed < 0:
-        raise SchemaError(f"key '{where}seed' must be >= 0, got {seed}")
-    return int(seed)
+def _fields(doc, fields, where: str, extra=()) -> dict:
+    """{attribute: value} of the object ``doc`` whose keys are named
+    ``where + key``, read through its field table; keys in ``extra`` are
+    left to the caller."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"key '{where[:-1]}' must be an object")
+    known = {row[0] for row in fields}.union(extra)
+    for key in doc:
+        if key not in known:
+            raise SchemaError(f"unknown key '{where}{key}'")
+    out = {}
+    for key, attr, kind, default in fields:
+        if key in doc:
+            out[attr] = _value(doc[key], kind, where + key)
+            if key == "seed" and out[attr] < 0:
+                raise SchemaError(f"key '{where}seed' must be >= 0, got {out[attr]}")
+        elif default is _REQUIRED:
+            raise SchemaError(f"missing required key '{where}{key}'")
+        elif default is not None:
+            out[attr] = default
+    return out
+
+
+def _to_doc(obj, fields) -> dict:
+    doc = {}
+    for key, attr, kind, _ in fields:
+        v = attrgetter(attr)(obj)
+        doc[key] = v.value if kind is NoiseKind else kind(v)
+    return doc
+
+
+def _build(cls, **kwargs):
+    """``cls(**kwargs)`` with a broken contract reported as a SchemaError."""
+    try:
+        return cls(**kwargs)
+    except ContractError as exc:
+        raise SchemaError(str(exc)) from exc
+
+
+def _required(doc: dict, key: str, where: str):
+    if key not in doc:
+        raise SchemaError(f"missing required key '{where}{key}'")
+    return doc[key]
 
 
 def noise_from_dict(doc: dict, name: str) -> NoiseModel:
     """Parse a noise object found under key ``name`` of its document."""
-    if not isinstance(doc, dict):
-        raise SchemaError(f"key '{name}' must be an object")
-    where = name + "."
-    _check_keys(doc, _NOISE_KEYS, where)
-    kind_raw = doc.get("kind", "none")
-    try:
-        kind = NoiseKind(kind_raw)
-    except ValueError:
-        raise SchemaError(f"key '{where}kind' must be one of "
-                          f"{[k.value for k in NoiseKind]}, got {kind_raw!r}")
-    if kind is NoiseKind.AWGN and "snr_db" not in doc:
-        raise SchemaError(f"missing required key '{where}snr_db' for awgn noise")
-    if kind is NoiseKind.EPS_CONTAMINATED:
-        for key in ("eps", "sigma1", "sigma2"):
-            if key not in doc:
-                raise SchemaError(f"missing required key '{where}{key}' "
-                                  f"for eps_contaminated noise")
-    return NoiseModel(
-        kind=kind,
-        snr_db=float(_num(doc, "snr_db", where, 0.0)),
-        eps=float(_num(doc, "eps", where, 0.9)),
-        sigma1=float(_num(doc, "sigma1", where, 0.25)),
-        sigma2=float(_num(doc, "sigma2", where, 10.0)),
-        seed=_seed(doc, where),
-    )
+    noise = _fields(doc, _NOISE_FIELDS, name + ".")
+    for key in _NOISE_NEEDS.get(noise["kind"], ()):
+        if key not in doc:
+            raise SchemaError(f"missing required key '{name}.{key}' "
+                              f"for {noise['kind'].value} noise")
+    return _build(NoiseModel, **noise)
+
+
+def _scenario_from_dict(doc, where: str) -> Scenario:
+    """Parse a scenario object whose keys are named ``where + key``."""
+    top = _fields(doc, _TOP_FIELDS, where, ("fm", "tx_km", "rx_km", "obstacles", "noise"))
+    fm = _fields(doc.get("fm", {}), _FM_FIELDS, where + "fm.")
+    fm.setdefault("duration_samples", top["n"] + top["l_bins"])
+    for key in ("tx_km", "rx_km"):
+        pair = _required(doc, key, where)
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise SchemaError(f"key '{where}{key}' must be a [x, y] pair of numbers")
+        top[key] = tuple(_value(c, float, f"{where}{key}[{j}]") for j, c in enumerate(pair))
+    items = _required(doc, "obstacles", where)
+    if not (isinstance(items, list) and items):
+        raise SchemaError(f"key '{where}obstacles' must be a non-empty list")
+    obstacles = []
+    for i, item in enumerate(items):
+        ob = _fields(item, _OBSTACLE_FIELDS, f"{where}obstacles[{i}].")
+        amplitude = complex(ob.pop("amplitude.real"), ob.pop("amplitude.imag"))
+        obstacles.append(Obstacle(amplitude=amplitude, **ob))
+    return _build(Scenario, obstacles=tuple(obstacles), fm=_build(StereoFmConfig, **fm),
+                  noise=noise_from_dict(doc.get("noise", {}), where + "noise"), **top)
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise SchemaError("scenario document must be a JSON object")
-    _check_keys(doc, _TOP_KEYS, "")
-    n = int(_num(doc, "n", "", 4096))
-    l_bins = int(_num(doc, "l_bins", "", 64))
-
-    fm_doc = doc.get("fm", {})
-    if not isinstance(fm_doc, dict):
-        raise SchemaError("key 'fm' must be an object")
-    _check_keys(fm_doc, _FM_KEYS, "fm.")
-    fm = StereoFmConfig(
-        f_s=float(_num(fm_doc, "fs_hz", "fm.", 200_000.0)),
-        duration_samples=int(_num(fm_doc, "duration_samples", "fm.", n + l_bins)),
-        k_f=float(_num(fm_doc, "kf", "fm.", 0.25)),
-        seed=_seed(fm_doc, "fm."),
-    )
-
-    for key in ("tx_km", "rx_km"):
-        if key not in doc:
-            raise SchemaError(f"missing required key '{key}'")
-        v = doc[key]
-        if not (isinstance(v, list) and len(v) == 2
-                and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in v)):
-            raise SchemaError(f"key '{key}' must be a [x, y] pair of numbers")
-
-    if "obstacles" not in doc:
-        raise SchemaError("missing required key 'obstacles'")
-    if not (isinstance(doc["obstacles"], list) and doc["obstacles"]):
-        raise SchemaError("key 'obstacles' must be a non-empty list")
-    obstacles = []
-    for i, ob in enumerate(doc["obstacles"]):
-        where = f"obstacles[{i}]."
-        if not isinstance(ob, dict):
-            raise SchemaError(f"key 'obstacles[{i}]' must be an object")
-        _check_keys(ob, _OBSTACLE_KEYS, where)
-        obstacles.append(Obstacle(
-            x_km=float(_num(ob, "x_km", where)),
-            y_km=float(_num(ob, "y_km", where)),
-            doppler_hz=float(_num(ob, "doppler_hz", where)),
-            amplitude=complex(float(_num(ob, "amplitude_re", where, 1.0)),
-                              float(_num(ob, "amplitude_im", where, 0.0))),
-        ))
-
-    noise = noise_from_dict(doc.get("noise", {"kind": "none"}), "noise")
-
-    try:
-        return Scenario(
-            tx_km=tuple(doc["tx_km"]),
-            rx_km=tuple(doc["rx_km"]),
-            obstacles=tuple(obstacles),
-            noise=noise,
-            fm=fm,
-            n=n,
-            l_bins=l_bins,
-            surv_gain=float(_num(doc, "surv_gain", "", 64.0)),
-            transform_input_gain=float(_num(doc, "transform_input_gain", "", 16.0)),
-        )
-    except ContractError as exc:
-        raise SchemaError(str(exc)) from exc
+    return _scenario_from_dict(doc, "")
 
 
 def scenario_to_dict(scn: Scenario) -> dict:
     return {
-        "fm": {
-            "fs_hz": scn.fm.f_s,
-            "duration_samples": scn.fm.duration_samples,
-            "kf": scn.fm.k_f,
-            "seed": scn.fm.seed,
-        },
+        **_to_doc(scn, _TOP_FIELDS),
+        "fm": _to_doc(scn.fm, _FM_FIELDS),
         "tx_km": list(scn.tx_km),
         "rx_km": list(scn.rx_km),
-        "obstacles": [
-            {
-                "x_km": ob.x_km,
-                "y_km": ob.y_km,
-                "doppler_hz": ob.doppler_hz,
-                "amplitude_re": ob.amplitude.real,
-                "amplitude_im": ob.amplitude.imag,
-            }
-            for ob in scn.obstacles
-        ],
-        "noise": {
-            "kind": scn.noise.kind.value,
-            "snr_db": scn.noise.snr_db,
-            "eps": scn.noise.eps,
-            "sigma1": scn.noise.sigma1,
-            "sigma2": scn.noise.sigma2,
-            "seed": scn.noise.seed,
-        },
-        "n": scn.n,
-        "l_bins": scn.l_bins,
-        "surv_gain": scn.surv_gain,
-        "transform_input_gain": scn.transform_input_gain,
+        "obstacles": [_to_doc(ob, _OBSTACLE_FIELDS) for ob in scn.obstacles],
+        "noise": _to_doc(scn.noise, _NOISE_FIELDS),
     }
 
 
-def load_scenario(path) -> Scenario:
+def _load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
             raise SchemaError(f"invalid JSON: {exc}") from exc
-    return scenario_from_dict(doc)
+
+
+def load_scenario(path) -> Scenario:
+    return scenario_from_dict(_load_json(path))
 
 
 def save_scenario(scn: Scenario, path) -> None:

@@ -8,10 +8,6 @@ from signadd import (
     ComplexSignal,
     ContractError,
     SPEED_OF_LIGHT,
-    ambiguity_eq11,
-    ambiguity_eq12a,
-    ambiguity_eq12b,
-    ambiguity_eq12c,
     build_signals,
     compute_ambiguity,
     lag_product_exact,
@@ -92,7 +88,7 @@ def test_eq11_equals_direct_double_sum():
     n, l_bins = 16, 4
     surv = signal(g.standard_normal(n) + 1j * g.standard_normal(n))
     ref = signal(unit_noiselike(g, n))
-    surface = ambiguity_eq11(surv, ref, l_bins, n)
+    surface = compute_ambiguity("eq11", surv, ref, l_bins, n)
     oracle = direct_surface(surv.samples, ref.samples, l_bins, n)
     scale = np.max(np.abs(oracle))
     assert np.max(np.abs(surface.values - oracle)) / scale < 1e-9
@@ -104,7 +100,7 @@ def test_eq11_stationary_echo_peak():
     ref = unit_noiselike(g, n)
     surv = np.zeros(n, dtype=complex)
     surv[l0:] = ref[:-l0]
-    surface = ambiguity_eq11(signal(surv), signal(ref), 16, n)
+    surface = compute_ambiguity("eq11", signal(surv), signal(ref), 16, n)
     l, p = np.unravel_index(np.argmax(surface.magnitude()), surface.values.shape)
     assert (l, p) == (l0, 0)
 
@@ -116,17 +112,17 @@ def test_eq11_moving_echo_peak():
     surv = np.zeros(n, dtype=complex)
     surv[l0:] = ref[:-l0]
     surv *= np.exp(2j * np.pi * p0 * np.arange(n) / n)  # on-bin Doppler
-    surface = ambiguity_eq11(signal(surv), signal(ref), 8, n)
+    surface = compute_ambiguity("eq11", signal(surv), signal(ref), 8, n)
     l, p = np.unravel_index(np.argmax(surface.magnitude()), surface.values.shape)
     assert (l, p) == (l0, p0)
 
 
 # --- variants ------------------------------------------------------------------------
 
-@pytest.mark.parametrize("fn", [ambiguity_eq11, ambiguity_eq12a,
-                                ambiguity_eq12b, ambiguity_eq12c])
-def test_zero_input_zero_surface(fn):
-    surface = fn(signal(np.zeros(16)), signal(np.ones(16)), 4, 16)
+@pytest.mark.parametrize("variant", ["eq11", "eq12a", "eq12b", "eq12c"],
+                         ids=lambda v: f"ambiguity_{v}")
+def test_zero_input_zero_surface(variant):
+    surface = compute_ambiguity(variant, signal(np.zeros(16)), signal(np.ones(16)), 4, 16)
     assert np.array_equal(surface.values, np.zeros((4, 16)))
 
 
@@ -135,7 +131,7 @@ def test_eq12b_row_equals_direct_nonlinear_sum():
     n = 256
     surv = signal(g.standard_normal(n) + 1j * g.standard_normal(n))
     ref = signal(unit_noiselike(g, n))
-    surface = ambiguity_eq12b(surv, ref, 6, n)
+    surface = compute_ambiguity("eq12b", surv, ref, 6, n)
     for l in (0, 3, 5):
         y = lag_product_mf(surv, ref, l, n)
         direct = np.array([
@@ -150,7 +146,7 @@ def test_eq12c_matched_row_peaks_at_zero_doppler():
     g = rng()
     n = 64
     s = unit_noiselike(g, n)
-    surface = ambiguity_eq12c(signal(s), signal(s), 4, n)
+    surface = compute_ambiguity("eq12c", signal(s), signal(s), 4, n)
     # The matched lag product is |s|^2, the all-ones sequence up to float
     # residue.  The residue matters: hardware FMA leaves ~1e-17 imaginary
     # parts in z*conj(z), and the sign-additive transform turns each into
@@ -168,8 +164,8 @@ def test_eq12c_moving_target_doppler_close_to_exact():
     surv = np.zeros(n, dtype=complex)
     surv[l0:] = ref[:-l0]
     surv *= np.exp(2j * np.pi * p0 * np.arange(n) / n)
-    exact = ambiguity_eq11(signal(surv), signal(ref), 8, n)
-    nonlin = ambiguity_eq12c(signal(surv), signal(ref), 8, n)
+    exact = compute_ambiguity("eq11", signal(surv), signal(ref), 8, n)
+    nonlin = compute_ambiguity("eq12c", signal(surv), signal(ref), 8, n)
     p_exact = int(np.argmax(exact.magnitude()[l0]))
     p_nl = int(np.argmax(nonlin.magnitude()[l0]))
     assert min(abs(p_nl - p_exact), n - abs(p_nl - p_exact)) <= 1
@@ -190,8 +186,8 @@ def test_conjugate_off_mirrors_doppler():
     n, p0 = 64, 5
     ref = unit_noiselike(g, n)
     surv = ref * np.exp(2j * np.pi * p0 * np.arange(n) / n)
-    on = ambiguity_eq11(signal(surv), signal(ref), 1, n)
-    off = ambiguity_eq11(signal(surv), signal(ref), 1, n, conjugate_ref=False)
+    on = compute_ambiguity("eq11", signal(surv), signal(ref), 1, n)
+    off = compute_ambiguity("eq11", signal(surv), signal(ref), 1, n, conjugate_ref=False)
     assert int(np.argmax(on.magnitude()[0])) == p0
     assert int(np.argmax(off.magnitude()[0])) != p0
 
@@ -200,8 +196,8 @@ def test_conjugate_off_mirrors_doppler():
 
 def test_metadata_bin_scales():
     g = rng()
-    surface = ambiguity_eq11(signal(unit_noiselike(g, 64)),
-                             signal(unit_noiselike(g, 64)), 4, 64)
+    surface = compute_ambiguity("eq11", signal(unit_noiselike(g, 64)),
+                                signal(unit_noiselike(g, 64)), 4, 64)
     assert surface.range_bin_m == pytest.approx(SPEED_OF_LIGHT / FS, rel=1e-6)
     assert surface.doppler_bin_hz == FS / 64
     assert surface.sample_rate_hz == FS
@@ -211,7 +207,7 @@ def test_rows_independent_of_order():
     g = rng()
     surv = signal(g.standard_normal(64) + 1j * g.standard_normal(64))
     ref = signal(unit_noiselike(g, 64))
-    a = ambiguity_eq12a(surv, ref, 8, 64, transform_input_gain=16.0)
+    a = compute_ambiguity("eq12a", surv, ref, 8, 64, transform_input_gain=16.0)
     rows_reversed = np.empty_like(a.values)
     for l in reversed(range(8)):
         y = lag_product_mf(surv, ref, l, 64)
@@ -237,21 +233,21 @@ def test_op_count_stage_separation():
     ref = signal(unit_noiselike(g, 32))
     l_bins, n = 4, 32
 
-    a = ambiguity_eq12a(surv, ref, l_bins, n)
+    a = compute_ambiguity("eq12a", surv, ref, l_bins, n)
     assert a.transform_op_counts.complex_mul_ops == 0
     assert a.lag_op_counts.complex_mf_ops == l_bins * n
 
-    b = ambiguity_eq12b(surv, ref, l_bins, n)
+    b = compute_ambiguity("eq12b", surv, ref, l_bins, n)
     assert b.lag_op_counts.complex_mf_ops == l_bins * n
     assert b.transform_op_counts.complex_mf_ops == 0
     assert b.lag_op_counts.complex_mul_ops == 0
 
-    c = ambiguity_eq12c(surv, ref, l_bins, n)
+    c = compute_ambiguity("eq12c", surv, ref, l_bins, n)
     assert c.transform_op_counts.complex_mul_ops == 0
     assert c.lag_op_counts.complex_mf_ops == 0
     assert c.lag_op_counts.complex_mul_ops == l_bins * n
 
-    e = ambiguity_eq11(surv, ref, l_bins, n)
+    e = compute_ambiguity("eq11", surv, ref, l_bins, n)
     assert e.op_counts.complex_mf_ops == 0
 
 
@@ -274,8 +270,8 @@ def test_joint_scaling_of_lag_operands():
 
 def test_doppler_cut_axis_centered():
     g = rng()
-    surface = ambiguity_eq11(signal(unit_noiselike(g, 64)),
-                             signal(unit_noiselike(g, 64)), 2, 64)
+    surface = compute_ambiguity("eq11", signal(unit_noiselike(g, 64)),
+                                signal(unit_noiselike(g, 64)), 2, 64)
     freqs, vals = surface.doppler_cut()
     assert freqs.size == 64 and vals.size == 64
     assert freqs[0] == -(FS / 2) + FS / 64

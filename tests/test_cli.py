@@ -221,6 +221,23 @@ def test_ambiguity_negative_scenario_seed_names_key(tmp_path, capsys, patch, key
     assert sorted(os.listdir(tmp_path)) == ["neg.json", "scene.json"]
 
 
+@pytest.mark.parametrize("mutate,key", [
+    (lambda d: d["obstacles"][0].update(x_km=float("nan")), "obstacles[0].x_km"),
+    (lambda d: d.update(l_bins=64.9), "l_bins"),
+], ids=["x_km-nan", "l_bins-fraction"])
+def test_ambiguity_malformed_number_names_key(tmp_path, capsys, mutate, key):
+    doc = json.loads(file_bytes(scene_path(tmp_path)).decode())
+    mutate(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))  # NaN is written as the literal NaN
+    out = str(tmp_path / "x")
+    assert main(["ambiguity", "--scenario", str(path), "--variant", "eq11",
+                 "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"'{key}'" in err
+    assert sorted(os.listdir(tmp_path)) == ["bad.json", "scene.json"]
+
+
 def test_ambiguity_conjugate_off_flag(tmp_path):
     scn = scene_path(tmp_path)
     on = str(tmp_path / "on")

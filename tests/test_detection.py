@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signadd import (
     AmbiguitySurface,
@@ -131,6 +133,26 @@ def test_classify_scale_invariance():
     b = classify(synthetic_surface(1234.5 * vals), scn)
     assert a.overall == b.overall and a.statuses == b.statuses
     assert a.sidelobe_floor_db == pytest.approx(b.sidelobe_floor_db, abs=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.booleans(), min_size=3, max_size=3),
+       st.integers(-8, 8))
+def test_classify_and_floor_invariant_under_power_of_two_scale(seed, planted, k):
+    # scaling by 2^k is exact, so every magnitude and every ratio of two
+    # magnitudes is unchanged bit for bit
+    scn = two_targets_one_clutter(n=64)
+    g = np.random.default_rng(seed)
+    vals = g.standard_normal((64, 64)) + 1j * g.standard_normal((64, 64))
+    for (l, p), plant in zip(true_bins(scn), planted):
+        if plant:
+            vals[l, p] = 8.0 + 8.0j
+    surface, scaled = synthetic_surface(vals), synthetic_surface(2.0 ** k * vals)
+    a, b = classify(surface, scn), classify(scaled, scn)
+    assert b.statuses == a.statuses
+    assert [(pk.l, pk.p) for pk in b.peaks] == [(pk.l, pk.p) for pk in a.peaks]
+    assert b.sidelobe_floor_db == a.sidelobe_floor_db
+    assert sidelobe_floor_db(scaled, scn) == sidelobe_floor_db(surface, scn)
 
 
 def test_classify_guard_validation():

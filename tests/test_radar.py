@@ -1,11 +1,15 @@
 """Waveform synthesis, geometry, noise models, scenario serialization."""
 
+import copy
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signadd import (
     ContractError,
@@ -17,9 +21,9 @@ from signadd import (
     StereoFmConfig,
     add_awgn,
     add_contaminated,
-    ambiguity_eq11,
     bistatic_delay_bins,
     build_signals,
+    compute_ambiguity,
     doppler_bin,
     gen_stereo_fm,
     load_scenario,
@@ -40,7 +44,8 @@ from signadd.radar import (
 )
 
 FS = 200_000.0
-DEMOS = Path(__file__).resolve().parent.parent / "demos"
+REPO = Path(__file__).resolve().parent.parent
+DEMOS = REPO / "demos"
 
 
 # --- FM waveform -----------------------------------------------------------------
@@ -205,7 +210,7 @@ def test_clutter_doppler_purity():
     scn = _single_clutter_scene()
     ref, surv = build_signals(scn)
     l = scn.delay_bins()[0]
-    surface = ambiguity_eq11(surv, ref, l + 1, scn.n)
+    surface = compute_ambiguity("eq11", surv, ref, l + 1, scn.n)
     row = np.abs(surface.values[l])
     assert np.max(row[1:]) / row[0] < 10 ** (-13.0 / 20.0)
 
@@ -288,7 +293,7 @@ def test_reseed_scenario():
 def test_benchmark_scene_noise_free_peaks():
     scn = two_targets_one_clutter(seed=1)
     ref, surv = build_signals(scn)
-    surface = ambiguity_eq11(surv, ref, scn.l_bins, scn.n)
+    surface = compute_ambiguity("eq11", surv, ref, scn.l_bins, scn.n)
     mag = surface.magnitude()
     expected = set(true_bins(scn))
     top3 = set()
@@ -340,6 +345,82 @@ def test_schema_violations_name_the_key(mutate, needle):
     mutate(doc)
     with pytest.raises(SchemaError, match=needle):
         scenario_from_dict(doc)
+
+
+@st.composite
+def scenarios(draw):
+    """Valid scenarios with n <= 256; every number is drawn, none defaulted."""
+    coord = st.floats(-50.0, 50.0)
+    seed = st.integers(0, 2**32)
+    n = 2 ** draw(st.integers(1, 8))
+    tx_km, rx_km = (draw(coord), draw(coord)), (draw(coord), draw(coord))
+    obstacles = tuple(
+        Obstacle(draw(coord), draw(coord), draw(st.floats(-1e3, 1e3)),
+                 complex(draw(st.floats(-4.0, 4.0)), draw(st.floats(-4.0, 4.0))))
+        for _ in range(draw(st.integers(1, 3))))
+    noise = NoiseModel(
+        kind=draw(st.sampled_from(NoiseKind)), snr_db=draw(st.floats(-20.0, 40.0)),
+        eps=draw(st.floats(0.0, 1.0)), sigma1=draw(st.floats(0.01, 50.0)),
+        sigma2=draw(st.floats(0.01, 50.0)), seed=draw(seed))
+    f_s = draw(st.floats(115_000.0, 1e6))
+    max_delay = max(bistatic_delay_bins(tx_km, rx_km, ob, f_s) for ob in obstacles)
+    fm = StereoFmConfig(f_s=f_s, duration_samples=n + max_delay + draw(st.integers(0, 64)),
+                        k_f=draw(st.floats(0.0, 1.0)), seed=draw(seed))
+    return Scenario(tx_km, rx_km, obstacles, noise, fm, n=n,
+                    l_bins=draw(st.integers(1, 16)),
+                    surv_gain=draw(st.floats(1e-3, 1e3)),
+                    transform_input_gain=draw(st.floats(1e-3, 1e3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenarios())
+def test_scenario_dict_round_trip_property(scn):
+    assert scenario_from_dict(json.loads(json.dumps(scenario_to_dict(scn)))) == scn
+
+
+def _leaves(node, steps=()):
+    """(steps, value) of every scalar in a JSON document."""
+    if isinstance(node, (dict, list)):
+        for k, v in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _leaves(v, steps + (k,))
+    else:
+        yield steps, node
+
+
+def _key_name(steps):
+    """A key path as schema errors name it: 'fm.seed', 'obstacles[0].x_km'."""
+    name = ""
+    for step in steps:
+        name += f"[{step}]" if isinstance(step, int) else f".{step}" if name else step
+    return name
+
+
+@settings(max_examples=25, deadline=None)
+@given(scenarios())
+def test_single_key_corruption_names_the_key_property(scn):
+    doc = scenario_to_dict(scn)
+    for steps, value in _leaves(doc):
+        corruptions = ["1", True, math.nan, math.inf, -math.inf]
+        if type(value) is int:
+            corruptions.append(value + 0.5)
+        for bad in corruptions:
+            broken = copy.deepcopy(doc)
+            node = broken
+            for step in steps[:-1]:
+                node = node[step]
+            node[steps[-1]] = bad
+            with pytest.raises(SchemaError, match=re.escape(f"'{_key_name(steps)}'")):
+                scenario_from_dict(broken)
+
+
+def test_readme_scenario_example_parses():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Scenario JSON", 1)[1].split("```json\n", 1)[1]
+    doc = json.loads(block.split("```", 1)[0])
+    back = scenario_to_dict(scenario_from_dict(doc))
+    # the example spells out every key but the noise parameters awgn ignores
+    back["noise"] = {key: back["noise"][key] for key in doc["noise"]}
+    assert back == doc
 
 
 def test_scenario_hash_tracks_content():
