@@ -336,8 +336,11 @@ def test_table_bad_set_file(tmp_path, capsys):
     ({"variants": ["eq11", "eq13"]}, "variants[1]"),
     ({"noises": {"kind": "none"}}, "noises"),
     ({"environments": [{"name": "e"}]}, "environments[0]"),
+    ({"environments": [{"name": "e", "scenario": {
+        "rx_km": [0, 0], "obstacles": [{"x_km": 1, "y_km": 0, "doppler_hz": 0}]}}]},
+     "environments[0].scenario.tx_km"),
 ], ids=["noise-key-typo", "awgn-without-snr", "unknown-noise-kind", "unknown-variant",
-        "noises-not-a-list", "environment-without-scenario"])
+        "noises-not-a-list", "environment-without-scenario", "scenario-key-path"])
 def test_table_set_schema_errors_name_key(tmp_path, capsys, patch, key):
     scn_doc = json.loads(file_bytes(scene_path(tmp_path)).decode())
     table_set = {
