@@ -82,14 +82,17 @@ def _write_outputs(prefix: str, files: dict, manifest: bytes) -> None:
                 os.remove(path + ".tmp")
 
 
-def _csv_bytes(header: list[str], rows, manifest_name: str) -> bytes:
-    buf = io.StringIO()
-    buf.write(f"# manifest={manifest_name}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
-    return buf.getvalue().encode()
+_CSV_SLICE_ROWS = 4096  # rows formatted at a time, bounding the strings held
+
+
+def _csv_bytes(header: list[str], columns: list, manifest_name: str) -> bytes:
+    """CSV of equal-length columns, floats as ``repr``, the rest as ``str``, unquoted."""
+    parts = [f"# manifest={manifest_name}\n", ",".join(header), "\n"]
+    for r0 in range(0, len(columns[0]), _CSV_SLICE_ROWS):
+        cols = [np.asarray(col[r0 : r0 + _CSV_SLICE_ROWS]) for col in columns]
+        cells = [list(map(repr if c.dtype.kind == "f" else str, c.tolist())) for c in cols]
+        parts += ["\n".join(map(",".join, zip(*cells))), "\n"]
+    return "".join(parts).encode()
 
 
 def _manifest(prefix: str, command: str, args_desc: dict,
@@ -145,9 +148,7 @@ def _cmd_transform(args) -> int:
     mag = spectrum.magnitude()
     files = {".spectrum.csv": _csv_bytes(
         ["k", "re", "im", "magnitude"],
-        [(k, float(b.real), float(b.imag), float(m))
-         for k, (b, m) in enumerate(zip(spectrum.bins, mag))],
-        name)}
+        [np.arange(x.size), spectrum.bins.real, spectrum.bins.imag, mag], name)}
     if args.svg:
         files[".spectrum.svg"] = line_svg(
             np.arange(x.size), mag, f"{args.kind} magnitude, N={x.size}",
@@ -176,17 +177,12 @@ def _cmd_ambiguity(args) -> int:
     files = {
         ".surface.csv": _csv_bytes(
             ["l", "p", "magnitude_db"],
-            ((l, p, float(db[l, p]))
-             for l in range(surface.l_bins) for p in range(surface.n)),
-            name),
+            [np.repeat(np.arange(surface.l_bins), surface.n),
+             np.tile(np.arange(surface.n), surface.l_bins), db.ravel()], name),
         ".range_cut.csv": _csv_bytes(
-            ["l", "bistatic_range_km", "magnitude_db"],
-            [(int(l), float(r), float(v)) for l, r, v in zip(ls, range_km, row_db)],
-            name),
+            ["l", "bistatic_range_km", "magnitude_db"], [ls, range_km, row_db], name),
         ".doppler_cut.csv": _csv_bytes(
-            ["doppler_hz", "magnitude_db"],
-            [(float(f), float(v)) for f, v in zip(freqs, col_db)],
-            name),
+            ["doppler_hz", "magnitude_db"], [freqs, col_db], name),
     }
     if args.svg:
         files[".range_cut.svg"] = line_svg(
@@ -202,13 +198,14 @@ def _cmd_ambiguity(args) -> int:
 def _load_table_set(path: str) -> list:
     from dataclasses import replace
 
-    from .radar import _load_json, _scenario_from_dict, noise_from_dict
+    from .radar import _fields, _load_json, _scenario_from_dict, noise_from_dict
 
     if path == "default":
         return default_table_rows()
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise SchemaError("table set must be a JSON object")
+    _fields(doc, (), "", ("environments", "noises", "variants"))
     for key in ("environments", "noises", "variants"):
         if key not in doc:
             raise SchemaError(f"missing required key '{key}' in table set")
@@ -222,6 +219,9 @@ def _load_table_set(path: str) -> list:
     for i, env in enumerate(doc["environments"]):
         if not (isinstance(env, dict) and "name" in env and "scenario" in env):
             raise SchemaError(f"key 'environments[{i}]' needs 'name' and 'scenario'")
+        _fields(env, (), f"environments[{i}].", ("name", "scenario"))
+        if not isinstance(env["name"], str):
+            raise SchemaError(f"key 'environments[{i}].name' must be a string")
         envs.append((env["name"],
                      _scenario_from_dict(env["scenario"], f"environments[{i}].scenario.")))
     noises = [noise_from_dict(nd, f"noises[{i}]") for i, nd in enumerate(doc["noises"])]
@@ -244,13 +244,14 @@ def _cmd_table(args) -> int:
     name, manifest = _manifest(
         args.out, "table",
         {"set": args.set, "seeds": list(seeds), "rows": len(results)})
-    _write_outputs(args.out, {".table.csv": _csv_bytes(
-        ["environment", "variant", "noise", "performance",
-         "sidelobe_floor_db", "trials", "seeds"],
-        [(r.environment, r.variant, r.noise, r.performance,
-          float(r.sidelobe_floor_db), r.trials,
-          " ".join(str(s) for s in r.seeds)) for r in results],
-        name)}, manifest)
+    # csv.writer: environment names come from table-set files and may need quoting.
+    buf = io.StringIO()
+    buf.write(f"# manifest={name}\n"
+              "environment,variant,noise,performance,sidelobe_floor_db,trials,seeds\n")
+    csv.writer(buf, lineterminator="\n").writerows(
+        (r.environment, r.variant, r.noise, r.performance, float(r.sidelobe_floor_db),
+         r.trials, " ".join(str(s) for s in r.seeds)) for r in results)
+    _write_outputs(args.out, {".table.csv": buf.getvalue().encode()}, manifest)
     return 0
 
 
@@ -284,7 +285,7 @@ def _cmd_opcount(args) -> int:
          "add_measured", "add_analytic",
          "complex_mul_measured", "complex_mul_analytic",
          "matches"],
-        rows, name)}, manifest)
+        list(zip(*rows)), name)}, manifest)
     print(f"butterfly counts: " + ", ".join(
         f"N={n}: {nfft_butterflies(n)}" for n in args.n_list))
     return 0

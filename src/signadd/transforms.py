@@ -207,6 +207,17 @@ def _as_samples(x) -> np.ndarray:
     return s
 
 
+# Elements per row block of the (rows x n) temporaries of ``dft_exact`` and ``ndft``,
+# sized so the allocator reuses each block; blocks hold two rows or more, as numpy
+# sums a one-row matrix-vector product in another order (DECISIONS.md 8).
+_ROW_BLOCK_ELEMENTS = 1 << 14
+
+
+def _row_blocks(n: int) -> list[np.ndarray]:
+    rows = max(2, _ROW_BLOCK_ELEMENTS // n)
+    return np.array_split(np.arange(n), max(1, n // rows))
+
+
 def _require_pow2(n: int, what: str) -> int:
     if n < 2 or (n & (n - 1)) != 0:
         raise ContractError(f"{what}: size must be a power of two >= 2, got {n}")
@@ -218,12 +229,8 @@ def dft_exact(x) -> Spectrum:
     v = _as_samples(x)
     n = v.size
     tbl = twiddle_table(n)
-    bins = np.empty(n, dtype=complex)
     ks = np.arange(n)
-    block = max(1, (1 << 21) // max(n, 1))
-    for r0 in range(0, n, block):
-        rows = ks[r0 : r0 + block]
-        bins[r0 : r0 + rows.size] = tbl.entries[np.outer(rows, ks) % n] @ v
+    bins = np.concatenate([tbl.entries[np.outer(rows, ks) % n] @ v for rows in _row_blocks(n)])
     return Spectrum(bins, TransformKind.DFT_EXACT,
                     OpCountReport.complex_mul(dft_complex_muls(n)))
 
@@ -254,25 +261,20 @@ def ndft(x) -> Spectrum:
 
     Every matrix element, the unity entries of row/column 0 included, goes
     through one complex application: exactly N^2 of them.  Row sums
-    accumulate column-by-column in index order so the result is bit-for-bit
-    identical to an explicit scalar double loop.
+    accumulate column-by-column in index order (an in-place ``cumsum``, see
+    DECISIONS.md 8), bit-for-bit identical to an explicit scalar double loop.
     """
     v = _as_samples(x)
     n = v.size
     tbl = twiddle_table(n)
-    acc_r = np.zeros(n)
-    acc_i = np.zeros(n)
+    bins = np.empty(n, dtype=complex)
     ks = np.arange(n)
-    # Row-blocked to bound the (rows x n) temporaries on large sizes.
-    block = max(1, (1 << 21) // max(n, 1))
-    for r0 in range(0, n, block):
-        rows = ks[r0 : r0 + block]
+    for rows in _row_blocks(n):
         m = tbl.entries[np.outer(rows, ks) % n]
         rr, ri = _mf_complex_raw(m.real, m.imag, v.real[None, :], v.imag[None, :])
-        for col in range(n):
-            acc_r[r0 : r0 + rows.size] += rr[:, col]
-            acc_i[r0 : r0 + rows.size] += ri[:, col]
-    return Spectrum(acc_r + 1j * acc_i, TransformKind.NDFT,
+        bins.real[rows] = np.cumsum(rr, axis=1, out=rr)[:, -1]
+        bins.imag[rows] = np.cumsum(ri, axis=1, out=ri)[:, -1]
+    return Spectrum(bins, TransformKind.NDFT,
                     OpCountReport.complex(ndft_complex_ops(n)))
 
 

@@ -1,14 +1,18 @@
 """CLI commands: outputs, schema errors, determinism, atomicity."""
 
 import csv
+import io
 import json
 import os
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from signadd import NoiseKind, NoiseModel, save_scenario, two_targets_one_clutter
+from signadd import NoiseKind, NoiseModel, cli, save_scenario, two_targets_one_clutter
 from signadd.cli import _load_table_set, main
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
@@ -322,6 +326,20 @@ def test_table_set_example_loads():
     assert all(scn.n_targets == 2 and scn.n_clutters == 1 for _, scn, _ in rows)
 
 
+def test_table_quotes_environment_names(tmp_path):
+    scn_doc = json.loads(file_bytes(scene_path(tmp_path)).decode())
+    set_path = tmp_path / "set.json"
+    set_path.write_text(json.dumps({
+        "environments": [{"name": 'far, "quiet"', "scenario": scn_doc}],
+        "noises": [{"kind": "none"}],
+        "variants": ["eq11"],
+    }))
+    out = str(tmp_path / "o")
+    assert main(["table", "--set", str(set_path), "--seeds", "0", "--out", out]) == 0
+    assert b'\n"far, ""quiet""",eq11,' in file_bytes(out + ".table.csv")
+    assert [row[0] for row in read_csv(out + ".table.csv")[1]] == ['far, "quiet"']
+
+
 def test_table_bad_set_file(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"environments": []}))
@@ -339,8 +357,13 @@ def test_table_bad_set_file(tmp_path, capsys):
     ({"environments": [{"name": "e", "scenario": {
         "rx_km": [0, 0], "obstacles": [{"x_km": 1, "y_km": 0, "doppler_hz": 0}]}}]},
      "environments[0].scenario.tx_km"),
+    ({"seeds": [1, 2]}, "seeds"),
+    ({"environments": [{"name": "e", "nmae": "typo", "scenario": {}}]},
+     "environments[0].nmae"),
+    ({"environments": [{"name": {"a": 1}, "scenario": {}}]}, "environments[0].name"),
 ], ids=["noise-key-typo", "awgn-without-snr", "unknown-noise-kind", "unknown-variant",
-        "noises-not-a-list", "environment-without-scenario", "scenario-key-path"])
+        "noises-not-a-list", "environment-without-scenario", "scenario-key-path",
+        "unknown-top-level-key", "unknown-environment-key", "non-string-name"])
 def test_table_set_schema_errors_name_key(tmp_path, capsys, patch, key):
     scn_doc = json.loads(file_bytes(scene_path(tmp_path)).decode())
     table_set = {
@@ -388,6 +411,36 @@ def test_opcount_values(tmp_path):
     r = table[(64, "nfft")]
     assert int(r[4]) == 4 * int(r[2]) and int(r[6]) == 8 * int(r[2])
     assert int(r[8]) == 6 * int(r[2])
+
+
+# --- CSV writer ----------------------------------------------------------------------
+
+def csv_writer_bytes(header, rows, manifest_name):
+    """The row-by-row csv.writer path that the columnar writer replaced."""
+    buf = io.StringIO()
+    buf.write(f"# manifest={manifest_name}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+    return buf.getvalue().encode()
+
+
+CELL_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, -300.0, 5e-324, -2.5e-310, 1e308, -1e308, 4096.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-2**53, 2**53).map(float))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(-2**62, 2**62), CELL_FLOATS, CELL_FLOATS),
+                max_size=12))
+def test_csv_bytes_matches_row_writer_property(rows):
+    columns = [np.array([r[0] for r in rows], dtype=np.int64),
+               np.array([r[1] for r in rows]), np.array([r[2] for r in rows])]
+    with mock.patch.object(cli, "_CSV_SLICE_ROWS", 5):  # several slices, the last ragged
+        assert (cli._csv_bytes(["k", "a", "b"], columns, "m.json")
+                == csv_writer_bytes(["k", "a", "b"], rows, "m.json"))
 
 
 # --- determinism across reruns --------------------------------------------------------

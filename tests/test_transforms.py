@@ -18,6 +18,7 @@ from signadd import (
     twiddle_table,
     unit_tone,
 )
+from signadd import transforms
 from signadd.transforms import (
     dft_complex_muls,
     fft_complex_muls,
@@ -154,6 +155,37 @@ def test_ndft_matches_double_loop_bitwise(n):
     a = ndft(x).bins
     b = ndft_double_loop(x)
     assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_ndft_signed_zero_first_sample_matches_double_loop(n):
+    # Each row sum starts at its column-0 term, W^0 (*) x[0], not at 0.0:
+    # exact only while that term is never -0.0.
+    g = rng()
+    for x0 in (complex(-0.0, -0.0), complex(-0.0, 0.0), complex(0.0, -0.0)):
+        re, im = planted_zero_planes(g, n)
+        re[0], im[0] = x0.real, x0.imag
+        x = from_planes(re, im)
+        assert ndft(x).bins.tobytes() == ndft_double_loop(x).tobytes()
+
+
+def test_ndft_overflowing_sum_matches_double_loop():
+    # Bins are assembled from their planes: inf * 1j would put NaN in the real part.
+    x = [1e308j, 1e308j]
+    with np.errstate(over="ignore"):
+        assert ndft(x).bins.tobytes() == ndft_double_loop(x).tobytes()
+
+
+@pytest.mark.parametrize("n,rows", [(5, 2), (16, 3)])
+def test_row_blocks_do_not_change_bins(n, rows, monkeypatch):
+    monkeypatch.setattr(transforms, "_ROW_BLOCK_ELEMENTS", rows * n)
+    sizes = [block.size for block in transforms._row_blocks(n)]
+    assert sum(sizes) == n and min(sizes) >= rows and len(set(sizes)) == 2  # ragged
+    ks = np.arange(n)
+    entries = twiddle_table(n).entries[np.outer(ks, ks) % n]
+    for x in [random_signal(rng(), n), *zero_reaching_inputs(rng(), n)["planted-zeros"]]:
+        assert ndft(x).bins.tobytes() == ndft_double_loop(x).tobytes()
+        assert dft_exact(x).bins.tobytes() == (entries @ x).tobytes()
 
 
 def test_ndft_peak_property_all_bins():
