@@ -25,7 +25,9 @@ homogeneous, so this gain is a real parameter of the processing, not a
 cosmetic scale.
 
 Rows are mutually independent: given the precomputed twiddle tables,
-computing rows in any order yields bit-identical surfaces.
+computing rows in any order, or in blocks of any size, yields bit-identical
+surfaces.  ``compute_ambiguity`` transforms its rows a block at a time, the
+block sized by the transforms' shared row-block budget.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from enum import Enum
 import numpy as np
 
 from .operator import ContractError, OpCountReport, _mf_complex_raw
-from .transforms import ComplexSignal, fft_exact, nfft
+from .transforms import ComplexSignal, _row_blocks, fft_exact, nfft
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -182,12 +184,12 @@ def compute_ambiguity(variant, s_surv, s_ref, l_bins: int, n: int,
     lag_cost = OpCountReport.complex if mf_lag else OpCountReport.complex_mul
     rows = np.empty((l_bins, n), dtype=complex)
     transform_counts = OpCountReport()
-    for l in range(l_bins):
-        y = lag_fn(s_surv, s_ref, l, n, conjugate_ref)
+    for block in _row_blocks(l_bins, n):
+        y = np.stack([lag_fn(s_surv, s_ref, l, n, conjugate_ref) for l in block])
         if gain != 1.0:
             y = gain * y
         spectrum = transform_fn(y)
-        rows[l] = spectrum.bins
+        rows[block] = spectrum.bins
         transform_counts += spectrum.op_counts
     return AmbiguitySurface(
         values=rows,

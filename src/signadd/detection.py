@@ -103,10 +103,14 @@ def find_peaks(surface: AmbiguitySurface, k: int) -> list[Peak]:
             strict &= mag > padded[1 + dl : 1 + dl + mag.shape[0],
                                    1 + dp : 1 + dp + mag.shape[1]]
     ls, ps = np.nonzero(strict)
-    if ls.size == 0:
-        return []
-    order = np.argsort(-mag[ls, ps], kind="stable")[:k]
-    return [Peak(int(ls[i]), int(ps[i]), float(mag[ls[i], ps[i]])) for i in order]
+    vals = mag[ls, ps]
+    if k < vals.size:
+        # Only maxima at or above the k-th largest can make the list; the
+        # stable sort keeps their row-major order among equal magnitudes.
+        keep = np.flatnonzero(vals >= np.partition(vals, vals.size - k)[vals.size - k])
+        ls, ps, vals = ls[keep], ps[keep], vals[keep]
+    order = np.argsort(-vals, kind="stable")[:k]
+    return [Peak(int(ls[i]), int(ps[i]), float(vals[i])) for i in order]
 
 
 def _circular_distance(a: int, b: int, n: int) -> int:

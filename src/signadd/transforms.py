@@ -24,6 +24,9 @@ one twiddle per output line (N per stage), so the total is
 complex applications: Theta(N log N) with constant 1 + 1/log2(N).  Every
 transform reports its cost from these closed forms in ``Spectrum.op_counts``.
 
+``fft_exact`` and ``nfft`` also take a ``(rows, N)`` array and transform each
+row, returning ``(rows, N)`` bins and ``rows`` times the per-row cost.
+
 Twiddle factors are precomputed from the closed form with quadrant-exact
 values at multiples of a quarter turn.  This matters: the sign-additive
 product is discontinuous at zero, so a twiddle like exp(-j*pi) carrying a
@@ -150,21 +153,17 @@ class TwiddleTable:
 
     @cached_property
     def nfft_stages(self) -> tuple:
-        """``(h, signs of w, signs of -w, magnitudes of w)`` per stage above
-        the bottom one, each part a (real, imaginary) pair of length ``h``.
-
-        The signs of ``-w`` come from ``np.sign(-w)``, not ``-np.sign(w)``:
-        ``np.sign(-0.0)`` is ``+0.0``, so the two differ in the sign of zero
-        wherever a component of ``w`` is zero.
+        """``(h, signs of w, magnitudes of w)`` per stage above the bottom
+        one, each part a (real, imaginary) pair shaped ``(h, 1)`` to
+        broadcast over the rows of a ``(N, rows)`` plane.
         """
         n = self.n
         _require_pow2(n, "nfft stages")
         stages = []
         h = 2
         while h < n:
-            w = self.entries[np.arange(h) * (n // (2 * h))]
-            stages.append((h, _frozen_planes(np.sign, w), _frozen_planes(np.sign, -w),
-                           _frozen_planes(np.abs, w)))
+            w = self.entries[np.arange(h) * (n // (2 * h)), None]
+            stages.append((h, _frozen_planes(np.sign, w), _frozen_planes(np.abs, w)))
             h *= 2
         return tuple(stages)
 
@@ -196,26 +195,30 @@ def unit_tone(k0: int, n: int) -> np.ndarray:
     return np.conj(tbl.entries[(k0 * np.arange(n)) % n])
 
 
-def _as_samples(x) -> np.ndarray:
+def _as_samples(x, max_ndim: int = 1) -> np.ndarray:
     if isinstance(x, ComplexSignal):
         return x.samples
     s = np.asarray(x, dtype=complex)
-    if s.ndim != 1 or s.size < 1:
-        raise ContractError("transform input must be a 1-d sequence of length >= 1")
+    if not 1 <= s.ndim <= max_ndim or s.size < 1:
+        shape = "a 1-d sequence" if max_ndim == 1 else "a 1-d sequence or a (rows, N) array"
+        raise ContractError(f"transform input must be {shape} of length >= 1, got shape {s.shape}")
     if not np.all(np.isfinite(s.real)) or not np.all(np.isfinite(s.imag)):
         raise DomainError("transform input must be finite")
     return s
 
 
-# Elements per row block of the (rows x n) temporaries of ``dft_exact`` and ``ndft``,
-# sized so the allocator reuses each block; blocks hold two rows or more, as numpy
-# sums a one-row matrix-vector product in another order (DECISIONS.md 8).
+# Elements per row block of the (rows x width) temporaries of ``dft_exact``, ``ndft``
+# and the batched transforms of an ambiguity surface, sized so the allocator reuses
+# each block; blocks hold two rows or more, as numpy sums a one-row matrix-vector
+# product in another order (DECISIONS.md 8).
 _ROW_BLOCK_ELEMENTS = 1 << 14
 
 
-def _row_blocks(n: int) -> list[np.ndarray]:
-    rows = max(2, _ROW_BLOCK_ELEMENTS // n)
-    return np.array_split(np.arange(n), max(1, n // rows))
+def _row_blocks(count: int, width: int) -> list[np.ndarray]:
+    """Row indices ``0..count-1`` split evenly into blocks of about
+    ``_ROW_BLOCK_ELEMENTS // width`` rows."""
+    rows = max(2, _ROW_BLOCK_ELEMENTS // width)
+    return np.array_split(np.arange(count), max(1, count // rows))
 
 
 def _require_pow2(n: int, what: str) -> int:
@@ -230,30 +233,34 @@ def dft_exact(x) -> Spectrum:
     n = v.size
     tbl = twiddle_table(n)
     ks = np.arange(n)
-    bins = np.concatenate([tbl.entries[np.outer(rows, ks) % n] @ v for rows in _row_blocks(n)])
+    bins = np.concatenate([tbl.entries[np.outer(rows, ks) % n] @ v for rows in _row_blocks(n, n)])
     return Spectrum(bins, TransformKind.DFT_EXACT,
                     OpCountReport.complex_mul(dft_complex_muls(n)))
 
 
 def fft_exact(x) -> Spectrum:
-    """Radix-2 decimation-in-time FFT; matches ``dft_exact`` to ~1e-12."""
-    v = _as_samples(x)
-    n = v.size
+    """Radix-2 decimation-in-time FFT; matches ``dft_exact`` to ~1e-12.
+
+    Takes one sequence or a ``(rows, N)`` array of them, laid out like
+    ``nfft``'s planes.
+    """
+    v = _as_samples(x, max_ndim=2)
+    n = v.shape[-1]
     _require_pow2(n, "fft_exact")
     tbl = twiddle_table(n)
-    y = v[tbl.bit_reverse]
-    m = 2
-    while m <= n:
-        h = m // 2
-        blocks = y.reshape(-1, m)
-        a = blocks[:, :h]
-        b = blocks[:, h:]
-        w = tbl.entries[np.arange(h) * (n // m)]
-        t = w[None, :] * b
-        y = np.concatenate([a + t, a - t], axis=1).reshape(-1)
-        m *= 2
-    return Spectrum(y, TransformKind.FFT_EXACT,
-                    OpCountReport.complex_mul(fft_complex_muls(n)))
+    y = v.reshape(-1, n).T[tbl.bit_reverse]  # (N, rows), bit-reversed
+    out = np.empty_like(y)
+    rows = y.shape[1]
+    h = 1
+    while h < n:
+        y4, out4 = y.reshape(-1, 2, h, rows), out.reshape(-1, 2, h, rows)
+        t = tbl.entries[np.arange(h) * (n // (2 * h)), None] * y4[:, 1]
+        np.add(y4[:, 0], t, out=out4[:, 0])
+        np.subtract(y4[:, 0], t, out=out4[:, 1])
+        y, out = out, y
+        h *= 2
+    return Spectrum(np.ascontiguousarray(y.T).reshape(v.shape), TransformKind.FFT_EXACT,
+                    OpCountReport.complex_mul(rows * fft_complex_muls(n)))
 
 
 def ndft(x) -> Spectrum:
@@ -269,7 +276,7 @@ def ndft(x) -> Spectrum:
     tbl = twiddle_table(n)
     bins = np.empty(n, dtype=complex)
     ks = np.arange(n)
-    for rows in _row_blocks(n):
+    for rows in _row_blocks(n, n):
         m = tbl.entries[np.outer(rows, ks) % n]
         rr, ri = _mf_complex_raw(m.real, m.imag, v.real[None, :], v.imag[None, :])
         bins.real[rows] = np.cumsum(rr, axis=1, out=rr)[:, -1]
@@ -284,62 +291,53 @@ def nfft(x) -> Spectrum:
     Bottom stage: each input pair goes through the full 2-point nonlinear
     DFT (the two unity entries and the -1 entry all applied, the shared
     unity product evaluated once).  Later stages: each output line applies
-    its own twiddle to the odd branch, the second half using the exact
-    negation of the first-half twiddle (W^(k+N/2) == -W^k holds exactly).
+    its own twiddle to the odd branch, the second half the exact negation
+    of the first-half twiddle (W^(k+N/2) == -W^k holds exactly), which is
+    evaluated as ``a - t``: ``(-W) (*) b`` is ``-(W (*) b)`` but for the sign
+    of a zero, and the even branch ``a`` is never ``-0.0`` (DECISIONS.md 9).
 
-    The stages run on separate real and imaginary planes.  Each stage takes
-    the signs and magnitudes of its odd branch once and shares them, and the
-    four magnitude sums, between the ``W`` and ``-W`` products; the twiddle
-    parts of ``W`` and ``-W`` and the bit-reversal permutation are cached
-    on the table (:attr:`TwiddleTable.nfft_stages`).  Every real term is
-    still ``(sign(a)*sign(b)) * (|a|+|b|)``, so the bins are bit-identical
-    to the pairwise evaluation of ``tests/oracles.py::nfft_recursive``.
+    Takes one sequence or a ``(rows, N)`` array of them.  The stages run on
+    separate real and imaginary ``(N, rows)`` planes, viewed per stage as
+    ``(N/2h, 2, h, rows)``, so each inner loop covers ``h*rows`` elements.
+    Each stage takes the signs and magnitudes of its odd branch once; the
+    twiddle parts and the bit-reversal permutation are cached on the table
+    (:attr:`TwiddleTable.nfft_stages`).  Every real term is still
+    ``(sign(a)*sign(b)) * (|a|+|b|)``, so the bins are bit-identical to the
+    pairwise evaluation of ``tests/oracles.py::nfft_recursive``.
     """
-    v = _as_samples(x)
-    n = v.size
+    v = _as_samples(x, max_ndim=2)
+    n = v.shape[-1]
     _require_pow2(n, "nfft")
     tbl = twiddle_table(n)
-    y = v[tbl.bit_reverse]
+    y = v.reshape(-1, n).T[tbl.bit_reverse]  # (N, rows), bit-reversed
+    rows = y.shape[1]
 
     # 4 matrix entries per pair in the cost model; the unity column is
     # applied once and reused by both rows (bit-identical either way), the
     # -1 entry is the exact negation of the unity product.
     ur, ui = _mf_complex_raw(1.0, 0.0, y.real, y.imag)
-    y_r = np.empty(n)
-    y_i = np.empty(n)
+    y_r, y_i, out_r, out_i = (np.empty((n, rows)) for _ in range(4))
     y_r[0::2] = ur[0::2] + ur[1::2]
     y_i[0::2] = ui[0::2] + ui[1::2]
     y_r[1::2] = ur[0::2] - ur[1::2]
     y_i[1::2] = ui[0::2] - ui[1::2]
 
-    out_r = np.empty(n)
-    out_i = np.empty(n)
-    for h, w_sign, nw_sign, w_abs in tbl.nfft_stages:
-        a_r, b_r = _halves(y_r, h)
-        a_i, b_i = _halves(y_i, h)
-        top_r, bot_r = _halves(out_r, h)
-        top_i, bot_i = _halves(out_i, h)
-        b_sign = (np.sign(b_r), np.sign(b_i))
+    for h, w_sign, w_abs in tbl.nfft_stages:
+        y4_r, y4_i, out4_r, out4_i = (p.reshape(-1, 2, h, rows) for p in (y_r, y_i, out_r, out_i))
+        b_r, b_i = y4_r[:, 1], y4_i[:, 1]
         sums = _magnitude_sums(w_abs, (np.abs(b_r), np.abs(b_i)))
-        t_r, t_i = _mf_complex_factored(w_sign, b_sign, sums)
-        np.add(a_r, t_r, out=top_r)
-        np.add(a_i, t_i, out=top_i)
-        t_r, t_i = _mf_complex_factored(nw_sign, b_sign, sums)
-        np.add(a_r, t_r, out=bot_r)
-        np.add(a_i, t_i, out=bot_i)
+        t_r, t_i = _mf_complex_factored(w_sign, (np.sign(b_r), np.sign(b_i)), sums)
+        np.add(y4_r[:, 0], t_r, out=out4_r[:, 0])
+        np.add(y4_i[:, 0], t_i, out=out4_i[:, 0])
+        np.subtract(y4_r[:, 0], t_r, out=out4_r[:, 1])
+        np.subtract(y4_i[:, 0], t_i, out=out4_i[:, 1])
         y_r, out_r = out_r, y_r
         y_i, out_i = out_i, y_i
-    bins = np.empty(n, dtype=complex)
-    bins.real = y_r
-    bins.imag = y_i
-    return Spectrum(bins, TransformKind.NFFT,
-                    OpCountReport.complex(nfft_complex_ops(n)))
-
-
-def _halves(plane: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
-    """Views of the first and second halves of each length-2h block."""
-    blocks = plane.reshape(-1, 2 * h)
-    return blocks[:, :h], blocks[:, h:]
+    bins = np.empty((rows, n), dtype=complex)
+    bins.real = y_r.T
+    bins.imag = y_i.T
+    return Spectrum(bins.reshape(v.shape), TransformKind.NFFT,
+                    OpCountReport.complex(rows * nfft_complex_ops(n)))
 
 
 def peak_index(s) -> int:

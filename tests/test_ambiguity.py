@@ -34,6 +34,7 @@ def signal(samples):
 
 
 from oracles import direct_exact_surface as direct_surface, nfft_recursive
+from signadd import ambiguity, transforms
 
 
 # --- lag products -----------------------------------------------------------------
@@ -213,6 +214,30 @@ def test_rows_independent_of_order():
         y = lag_product_mf(surv, ref, l, 64)
         rows_reversed[l] = nfft(16.0 * y).bins
     assert np.array_equal(a.values, rows_reversed)
+
+
+@pytest.mark.parametrize("variant,name,lag_fn", [("eq12a", "nfft", lag_product_mf),
+                                                 ("eq11", "fft_exact", lag_product_exact)])
+def test_rows_transformed_one_call_per_block(variant, name, lag_fn, monkeypatch):
+    # A budget of 3 rows splits 7 lag rows into ragged blocks of 4 and 3.
+    g = rng()
+    n, l_bins, gain = 64, 7, 16.0
+    surv = signal(g.standard_normal(n) + 1j * g.standard_normal(n))
+    ref = signal(unit_noiselike(g, n))
+    monkeypatch.setattr(transforms, "_ROW_BLOCK_ELEMENTS", 3 * n)
+    per_row = getattr(transforms, name)
+    calls = []
+
+    def counting(x):
+        calls.append(np.shape(x))
+        return per_row(x)
+
+    monkeypatch.setattr(ambiguity, name, counting)
+    surface = compute_ambiguity(variant, surv, ref, l_bins, n, transform_input_gain=gain)
+    assert calls == [(4, n), (3, n)]
+    scale = gain if variant == "eq12a" else 1.0
+    want = np.stack([per_row(scale * lag_fn(surv, ref, l, n)).bins for l in range(l_bins)])
+    assert surface.values.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("variant,lag_fn", [("eq12a", lag_product_mf),

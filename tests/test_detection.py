@@ -81,6 +81,30 @@ def test_find_peaks_k_validation():
         find_peaks(synthetic_surface(np.zeros((2, 2))), 0)
 
 
+def strict_maxima_sorted(mag):
+    """Every strict local maximum, strongest first, by a full stable sort."""
+    rows, cols = mag.shape
+    cells = [(l, p) for l in range(rows) for p in range(cols)
+             if all(mag[l, p] > mag[l + dl, p + dp]
+                    for dl in (-1, 0, 1) for dp in (-1, 0, 1)
+                    if (dl or dp) and 0 <= l + dl < rows and 0 <= p + dp < cols)]
+    order = np.argsort([-mag[c] for c in cells], kind="stable")
+    return [cells[i] for i in order]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.integers(2, 40), st.integers(1, 200))
+def test_find_peaks_equals_full_stable_sort_property(seed, rows, cols, k):
+    # Magnitudes from a few levels plant many equal-magnitude maxima, more
+    # than an unstable sort keeps in order; k runs past the number of maxima.
+    g = np.random.default_rng(seed)
+    mag = g.choice([0.0, 1.0, 2.0, 3.0], size=(rows, cols))
+    peaks = find_peaks(synthetic_surface(mag), k)
+    want = strict_maxima_sorted(mag)[:k]
+    assert [(p.l, p.p) for p in peaks] == want
+    assert [p.magnitude for p in peaks] == [mag[c] for c in want]
+
+
 # --- classify on synthetic surfaces --------------------------------------------------
 
 def _tiny_scene(noise=None):

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from signadd import (
     ComplexSignal,
     ContractError,
+    DomainError,
+    OpCountReport,
     Spectrum,
     TransformKind,
     dft_exact,
@@ -179,7 +181,7 @@ def test_ndft_overflowing_sum_matches_double_loop():
 @pytest.mark.parametrize("n,rows", [(5, 2), (16, 3)])
 def test_row_blocks_do_not_change_bins(n, rows, monkeypatch):
     monkeypatch.setattr(transforms, "_ROW_BLOCK_ELEMENTS", rows * n)
-    sizes = [block.size for block in transforms._row_blocks(n)]
+    sizes = [block.size for block in transforms._row_blocks(n, n)]
     assert sum(sizes) == n and min(sizes) >= rows and len(set(sizes)) == 2  # ragged
     ks = np.arange(n)
     entries = twiddle_table(n).entries[np.outer(ks, ks) % n]
@@ -236,7 +238,7 @@ def test_nfft_matches_recursive_bitwise(n):
 def from_planes(re, im):
     """Complex samples carrying the signs of zero of ``re`` and ``im`` as given
     (``re + 1j*im`` would turn some -0.0 components into +0.0)."""
-    x = np.empty(len(re), dtype=complex)
+    x = np.empty(np.shape(re), dtype=complex)
     x.real = re
     x.imag = im
     return x
@@ -272,17 +274,42 @@ def test_nfft_stage_parts_match_pairwise_kernel():
     # Term for term, signs of zero included: the bins cannot show these,
     # because each product is added to an even branch that is never -0.0.
     g = rng()
-    n = 64
+    n, rows = 64, 3
     tbl = twiddle_table(n)
-    for h, w_sign, nw_sign, w_abs in tbl.nfft_stages:
-        w = tbl.entries[np.arange(h) * (n // (2 * h))]
-        b_r, b_i = planted_zero_planes(g, (n // (2 * h), h))
-        b_sign = (np.sign(b_r), np.sign(b_i))
-        sums = _magnitude_sums(w_abs, (np.abs(b_r), np.abs(b_i)))
-        for sign, twiddle in ((w_sign, w), (nw_sign, -w)):
-            got = _mf_complex_factored(sign, b_sign, sums)
-            want = _mf_complex_raw(twiddle.real, twiddle.imag, b_r, b_i)
-            assert np.stack(got).tobytes() == np.stack(want).tobytes()
+    for h, w_sign, w_abs in tbl.nfft_stages:
+        w = tbl.entries[np.arange(h) * (n // (2 * h)), None]
+        b_r, b_i = planted_zero_planes(g, (n // (2 * h), h, rows))
+        got = _mf_complex_factored(w_sign, (np.sign(b_r), np.sign(b_i)), _magnitude_sums(
+            w_abs, (np.abs(b_r), np.abs(b_i))))
+        want = _mf_complex_raw(w.real, w.imag, b_r, b_i)
+        assert np.stack(got).tobytes() == np.stack(want).tobytes()
+        # The -W branch is a - t: equal to a + (-W) (*) b for an even branch
+        # a that is never -0.0, here planted with +0.0 and the ordinary values.
+        a_r, a_i = planted_zero_planes(g, b_r.shape)
+        a_r[a_r == 0], a_i[a_i == 0] = 0.0, 0.0
+        assert_minus_branch_is_difference(w, b_r, b_i, a_r, a_i, got)
+
+
+def assert_minus_branch_is_difference(w, b_r, b_i, a_r, a_i, t):
+    t_r, t_i = t
+    n_r, n_i = _mf_complex_raw(-w.real, -w.imag, b_r, b_i)
+    assert np.stack([a_r - t_r, a_i - t_i]).tobytes() == np.stack([a_r + n_r, a_i + n_i]).tobytes()
+
+
+_cell = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]) | st.floats(-1e100, 1e100)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(_cell, _cell, _cell, _cell), min_size=1, max_size=16),
+       st.sampled_from(list(twiddle_table(16).entries[:8])))
+def test_nfft_minus_branch_is_difference_property(cells, w):
+    # Even branches are never -0.0 (DECISIONS.md 7): adding +0.0 turns a
+    # drawn -0.0 into +0.0 and leaves every other value as it is.
+    a_r, a_i, b_r, b_i = (np.array(c) for c in zip(*cells))
+    a_r, a_i = a_r + 0.0, a_i + 0.0
+    w = np.array([w])
+    t = _mf_complex_raw(w.real, w.imag, b_r, b_i)
+    assert_minus_branch_is_difference(w, b_r, b_i, a_r, a_i, t)
 
 
 _component = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
@@ -320,6 +347,48 @@ def test_nfft_differs_from_ndft():
         if not np.allclose(nfft(x).bins, ndft(x).bins):
             diffs += 1
     assert diffs > 0
+
+
+# --- batched transforms -----------------------------------------------------------
+
+def batch_rows(g, rows, n):
+    """``rows`` sequences alternating planted signed zeros and rounded values."""
+    planted = from_planes(*planted_zero_planes(g, (rows, n)))
+    rounded = from_planes(np.round(g.standard_normal((rows, n))),
+                          np.round(g.standard_normal((rows, n))))
+    return np.where(np.arange(rows)[:, None] % 2 == 0, planted, rounded)
+
+
+@pytest.mark.parametrize("n", [2, 8, 64])
+@pytest.mark.parametrize("rows", [1, 3, 5])
+def test_batched_transforms_match_per_row_bitwise(rows, n):
+    x = batch_rows(rng(), rows, n)
+    for transform in (nfft, fft_exact):
+        bins = transform(x).bins
+        assert bins.shape == (rows, n)
+        per_row = np.stack([transform(row).bins for row in x])
+        assert bins.tobytes() == per_row.tobytes()
+        assert transform(x[0]).bins.shape == (n,)
+    assert nfft(x).bins.tobytes() == np.stack([nfft_recursive(row) for row in x]).tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 3, 5])
+def test_batched_op_counts_scale_with_rows(rows):
+    x = batch_rows(rng(), rows, 16)
+    assert nfft(x).op_counts == OpCountReport.complex(rows * nfft_complex_ops(16))
+    assert fft_exact(x).op_counts == OpCountReport.complex_mul(rows * fft_complex_muls(16))
+
+
+@pytest.mark.parametrize("transform", [nfft, fft_exact])
+def test_batched_input_contract(transform):
+    x = random_signal(rng(), 16).reshape(2, 8)
+    x[1, 3] = np.nan
+    with pytest.raises(DomainError):
+        transform(x)
+    for bad in (np.zeros((0, 8), dtype=complex), np.zeros((2, 2, 8), dtype=complex)):
+        with pytest.raises(ContractError) as err:
+            transform(bad)
+        assert "\n" not in str(err.value) and str(bad.shape) in str(err.value)
 
 
 # --- peak index --------------------------------------------------------------------
