@@ -46,6 +46,24 @@ def nfft_recursive(x):
     return out
 
 
+def fft_recursive(x):
+    """Recursive decimation-in-time reference for the exact FFT.
+
+    Transforms along the last axis, so one sequence or a ``(rows, N)`` array.
+    Each level combines its half transforms with one complex product per
+    odd-branch bin, ``t = W^k * odd``, and the two sums ``even + t`` and
+    ``even - t``, taking its twiddles from the table of its own size.
+    """
+    x = np.asarray(x, dtype=complex)
+    n = x.shape[-1]
+    if n == 1:
+        return x.copy()
+    even = fft_recursive(x[..., 0::2])
+    odd = fft_recursive(x[..., 1::2])
+    t = twiddle_table(n).entries[: n // 2] * odd
+    return np.concatenate([even + t, even - t], axis=-1)
+
+
 def direct_exact_surface(surv, ref, l_bins, n):
     """Triple-loop evaluation of the exact ambiguity surface."""
     surv = np.asarray(surv, dtype=complex)

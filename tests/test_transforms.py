@@ -40,7 +40,7 @@ def random_signal(g, n):
     return g.standard_normal(n) + 1j * g.standard_normal(n)
 
 
-from oracles import ndft_double_loop, nfft_recursive
+from oracles import fft_recursive, ndft_double_loop, nfft_recursive
 from signadd.operator import _magnitude_sums, _mf_complex_factored, _mf_complex_raw
 
 
@@ -125,6 +125,30 @@ def test_fft_equals_dft(n):
         a = fft_exact(x).bins
         b = dft_exact(x).bins
         assert np.max(np.abs(a - b)) / np.max(np.abs(b)) < 1e-9
+
+
+def exact_fft_inputs(g, n):
+    """Per kind, a ``(rows, N)`` batch: planted signed zeros, rounded values
+    and unit tones (every bin up to N=64, a spread of bins above)."""
+    ks = range(n) if n <= 64 else sorted({0, 1, 3, n // 4, n // 2, 3 * n // 4, n - 1,
+                                          *g.integers(0, n, 9).tolist()})
+    return {
+        "planted-zeros": from_planes(*planted_zero_planes(g, (4, n))),
+        "rounded": from_planes(np.round(g.standard_normal((4, n))),
+                               np.round(g.standard_normal((4, n)))),
+        "unit-tones": np.stack([unit_tone(k, n) for k in ks]),
+    }
+
+
+@pytest.mark.parametrize("n", [2 ** k for k in range(1, 13)])
+def test_fft_exact_matches_recursive_bitwise(n):
+    # The oracle recurses over numpy halves with each level's own twiddle
+    # table, so it shares no stage loop, layout or twiddle slicing with
+    # fft_exact; complex products are compared byte for byte.
+    for kind, x in exact_fft_inputs(rng(), n).items():
+        assert fft_exact(x).bins.tobytes() == fft_recursive(x).tobytes(), kind
+        for row in x[:3]:
+            assert fft_exact(row).bins.tobytes() == fft_recursive(row).tobytes(), kind
 
 
 @pytest.mark.parametrize("n", [1, 3, 12, 100])
