@@ -125,7 +125,7 @@ def _lag_slices(s_surv, s_ref, l: int, n: int | None):
     if ref.size < n - l:
         raise ContractError(f"reference signal too short for n={n}, lag={l}")
     shifted = np.zeros(n, dtype=complex)
-    shifted[l:] = ref[: n - l]
+    shifted[l:] = ref[: max(n - l, 0)]  # all zero from lag n on: echoes are causal
     return surv[:n], shifted
 
 

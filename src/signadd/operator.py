@@ -101,30 +101,22 @@ def _mf_complex_raw(ar, ai, br, bi):
     return rr, ri
 
 
-def _magnitude_sums(a_abs, b_abs):
-    """``|a|+|b|`` of the four component pairs of a complex product.
+def _mf_complex_factored(a_sign, a_abs, b):
+    """``_mf_complex_raw(a, b)`` with ``a`` given as its factored parts.
 
-    ``a_abs`` and ``b_abs`` are the (real, imaginary) magnitudes of the two
-    operands; the sums come in the order :func:`_mf_complex_factored` reads.
+    ``a_sign`` and ``a_abs`` are the (real, imaginary) signs and magnitudes
+    of ``a``, which a caller applying the same ``a`` again and again computes
+    once.  The complex ``b`` is split into its signs and magnitudes once, and
+    the product is written straight into a complex array.  Each of the four
+    terms is still ``(sign(a)*sign(b)) * (|a|+|b|)``, so the parts are
+    bit-identical to ``_mf_complex_raw``.
     """
-    (ar, ai), (br, bi) = a_abs, b_abs
-    return ar + br, ai + bi, ai + br, bi + ar
-
-
-def _mf_complex_factored(a_sign, b_sign, sums):
-    """``_mf_complex_raw`` on operands given as their factored parts.
-
-    ``a_sign`` and ``b_sign`` are the (real, imaginary) signs of the operands
-    and ``sums`` their :func:`_magnitude_sums`.  Each of the four terms is
-    today's ``(sign(a)*sign(b)) * (|a|+|b|)``, so the result is bit-identical
-    to ``_mf_complex_raw``, while callers that apply several operands to the
-    same data compute its signs and magnitudes once.
-    """
-    (ar, ai), (br, bi) = a_sign, b_sign
-    s_rr, s_ii, s_ir, s_ri = sums
-    rr = (ar * br) * s_rr - (ai * bi) * s_ii
-    ri = (ai * br) * s_ir + (bi * ar) * s_ri
-    return rr, ri
+    (sar, sai), (mar, mai) = a_sign, a_abs
+    sbr, sbi, mbr, mbi = np.sign(b.real), np.sign(b.imag), np.abs(b.real), np.abs(b.imag)
+    t = np.empty(b.shape, dtype=complex)
+    np.subtract((sar * sbr) * (mar + mbr), (sai * sbi) * (mai + mbi), out=t.real)
+    np.add((sai * sbr) * (mai + mbr), (sbi * sar) * (mbi + mar), out=t.imag)
+    return t
 
 
 def mf_sign(a, b):

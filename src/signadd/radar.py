@@ -157,6 +157,9 @@ class Scenario:
             raise ContractError(f"Scenario: n={self.n} must be a power of two")
         if self.l_bins < 1:
             raise ContractError("Scenario: l_bins must be >= 1")
+        if self.l_bins > self.fm.duration_samples:
+            raise ContractError(f"Scenario: l_bins={self.l_bins} exceeds the reference length "
+                                f"fm.duration_samples={self.fm.duration_samples}")
         max_delay = max(self.delay_bins())
         if self.fm.duration_samples < self.n + max_delay:
             raise ContractError(

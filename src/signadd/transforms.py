@@ -24,8 +24,11 @@ one twiddle per output line (N per stage), so the total is
 complex applications: Theta(N log N) with constant 1 + 1/log2(N).  Every
 transform reports its cost from these closed forms in ``Spectrum.op_counts``.
 
-``fft_exact`` and ``nfft`` also take a ``(rows, N)`` array and transform each
-row, returning ``(rows, N)`` bins and ``rows`` times the per-row cost.
+``fft_exact`` and ``nfft`` share one radix-2 stage loop, ``_radix2``, and
+differ only in the product each butterfly applies to its odd branch: the
+exact complex product or the sign-additive one.  Both also take a
+``(rows, N)`` array and transform each row, returning ``(rows, N)`` bins and
+``rows`` times the per-row cost.
 
 Twiddle factors are precomputed from the closed form with quadrant-exact
 values at multiples of a quarter turn.  This matters: the sign-additive
@@ -46,7 +49,6 @@ from .operator import (
     ContractError,
     DomainError,
     OpCountReport,
-    _magnitude_sums,
     _mf_complex_factored,
     _mf_complex_raw,
 )
@@ -117,7 +119,7 @@ class TwiddleTable:
     Entries at quarter-turn multiples are exact (1, -1j, -1, 1j); the rest
     come from cos/sin of the reduced angle.  For power-of-two sizes the
     table also caches, on first use, the bit-reversal permutation and the
-    factored twiddle parts of each ``nfft`` stage.
+    twiddles of each radix-2 stage, with their factored parts for ``nfft``.
     """
 
     _QUADRANT = (
@@ -152,28 +154,32 @@ class TwiddleTable:
         return rev
 
     @cached_property
-    def nfft_stages(self) -> tuple:
-        """``(h, signs of w, magnitudes of w)`` per stage above the bottom
-        one, each part a (real, imaginary) pair shaped ``(h, 1)`` to
-        broadcast over the rows of a ``(N, rows)`` plane.
-        """
+    def stage_twiddles(self) -> tuple:
+        """Per radix-2 stage ``s``, the twiddles ``W^(k*N/2h)``, ``k < h = 2**s``,
+        shaped ``(h, 1)`` to broadcast over the rows of ``(N, rows)`` columns."""
         n = self.n
-        _require_pow2(n, "nfft stages")
         stages = []
-        h = 2
-        while h < n:
+        for s in range(_require_pow2(n, "radix-2 stages")):
+            h = 1 << s
             w = self.entries[np.arange(h) * (n // (2 * h)), None]
-            stages.append((h, _frozen_planes(np.sign, w), _frozen_planes(np.abs, w)))
-            h *= 2
+            w.setflags(write=False)
+            stages.append(w)
         return tuple(stages)
 
+    @cached_property
+    def nfft_stages(self) -> tuple:
+        """``(signs of w, magnitudes of w)`` of each stage's twiddles ``w``,
+        each part a (real, imaginary) pair."""
+        return tuple((_frozen_parts(np.sign, w), _frozen_parts(np.abs, w))
+                     for w in self.stage_twiddles)
 
-def _frozen_planes(fn, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``fn`` of the real and of the imaginary plane of ``z``, read-only."""
-    planes = fn(z.real), fn(z.imag)
-    for plane in planes:
-        plane.setflags(write=False)
-    return planes
+
+def _frozen_parts(fn, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``fn`` of the real and of the imaginary part of ``z``, read-only."""
+    parts = fn(z.real), fn(z.imag)
+    for part in parts:
+        part.setflags(write=False)
+    return parts
 
 
 _TABLE_CACHE: dict[int, TwiddleTable] = {}
@@ -221,6 +227,28 @@ def _row_blocks(count: int, width: int) -> list[np.ndarray]:
     return np.array_split(np.arange(count), max(1, count // rows))
 
 
+def _radix2(v: np.ndarray, tbl: TwiddleTable, product) -> np.ndarray:
+    """Radix-2 decimation-in-time flow graph over each row of ``v``.
+
+    One gather bit-reverses every row into a column of an ``(N, rows)``
+    array.  Stage ``s`` views the columns as ``(N/2h, 2, h, rows)``, ``h = 2**s``,
+    so every inner loop covers ``h*rows`` elements, and writes ``a + t`` and
+    ``a - t`` of its even branch ``a`` and ``t = product(s, odd branch)`` into
+    the other of two buffers.  Returns the bins shaped like ``v``.
+    """
+    n = v.shape[-1]
+    y = v.reshape(-1, n).T[tbl.bit_reverse]
+    out = np.empty_like(y)
+    rows = y.shape[1]
+    for s in range(n.bit_length() - 1):
+        y4, out4 = (z.reshape(-1, 2, 1 << s, rows) for z in (y, out))
+        t = product(s, y4[:, 1])
+        np.add(y4[:, 0], t, out=out4[:, 0])
+        np.subtract(y4[:, 0], t, out=out4[:, 1])
+        y, out = out, y
+    return np.ascontiguousarray(y.T).reshape(v.shape)
+
+
 def _require_pow2(n: int, what: str) -> int:
     if n < 2 or (n & (n - 1)) != 0:
         raise ContractError(f"{what}: size must be a power of two >= 2, got {n}")
@@ -241,26 +269,17 @@ def dft_exact(x) -> Spectrum:
 def fft_exact(x) -> Spectrum:
     """Radix-2 decimation-in-time FFT; matches ``dft_exact`` to ~1e-12.
 
-    Takes one sequence or a ``(rows, N)`` array of them, laid out like
-    ``nfft``'s planes.
+    Takes one sequence or a ``(rows, N)`` array of them.  Each butterfly
+    multiplies its odd branch by the exact stage twiddle; the bins equal
+    ``tests/oracles.py::fft_recursive`` byte for byte.
     """
     v = _as_samples(x, max_ndim=2)
     n = v.shape[-1]
     _require_pow2(n, "fft_exact")
     tbl = twiddle_table(n)
-    y = v.reshape(-1, n).T[tbl.bit_reverse]  # (N, rows), bit-reversed
-    out = np.empty_like(y)
-    rows = y.shape[1]
-    h = 1
-    while h < n:
-        y4, out4 = y.reshape(-1, 2, h, rows), out.reshape(-1, 2, h, rows)
-        t = tbl.entries[np.arange(h) * (n // (2 * h)), None] * y4[:, 1]
-        np.add(y4[:, 0], t, out=out4[:, 0])
-        np.subtract(y4[:, 0], t, out=out4[:, 1])
-        y, out = out, y
-        h *= 2
-    return Spectrum(np.ascontiguousarray(y.T).reshape(v.shape), TransformKind.FFT_EXACT,
-                    OpCountReport.complex_mul(rows * fft_complex_muls(n)))
+    w = tbl.stage_twiddles
+    return Spectrum(_radix2(v, tbl, lambda s, b: w[s] * b), TransformKind.FFT_EXACT,
+                    OpCountReport.complex_mul(v.size // n * fft_complex_muls(n)))
 
 
 def ndft(x) -> Spectrum:
@@ -289,55 +308,33 @@ def nfft(x) -> Spectrum:
     """Nonlinear FFT: decimation-in-time flow graph, all twiddles sign-additive.
 
     Bottom stage: each input pair goes through the full 2-point nonlinear
-    DFT (the two unity entries and the -1 entry all applied, the shared
-    unity product evaluated once).  Later stages: each output line applies
-    its own twiddle to the odd branch, the second half the exact negation
-    of the first-half twiddle (W^(k+N/2) == -W^k holds exactly), which is
+    DFT (the two unity entries and the -1 entry all applied).  The unity
+    product of every sample is taken once, up front, and the bottom stage
+    adds and subtracts the products of a pair: the -1 entry's product is the
+    exact negation of the unity one.  Later stages: each output line applies
+    its own twiddle to the odd branch, the second half the exact negation of
+    the first-half twiddle (W^(k+N/2) == -W^k holds exactly), which is
     evaluated as ``a - t``: ``(-W) (*) b`` is ``-(W (*) b)`` but for the sign
     of a zero, and the even branch ``a`` is never ``-0.0`` (DECISIONS.md 9).
 
-    Takes one sequence or a ``(rows, N)`` array of them.  The stages run on
-    separate real and imaginary ``(N, rows)`` planes, viewed per stage as
-    ``(N/2h, 2, h, rows)``, so each inner loop covers ``h*rows`` elements.
-    Each stage takes the signs and magnitudes of its odd branch once; the
-    twiddle parts and the bit-reversal permutation are cached on the table
-    (:attr:`TwiddleTable.nfft_stages`).  Every real term is still
-    ``(sign(a)*sign(b)) * (|a|+|b|)``, so the bins are bit-identical to the
-    pairwise evaluation of ``tests/oracles.py::nfft_recursive``.
+    Takes one sequence or a ``(rows, N)`` array of them.  Each stage takes
+    the signs and magnitudes of its odd branch once; the twiddle parts are
+    cached on the table (:attr:`TwiddleTable.nfft_stages`).  Every real term
+    is still ``(sign(a)*sign(b)) * (|a|+|b|)``, so the bins are bit-identical
+    to the pairwise evaluation of ``tests/oracles.py::nfft_recursive``.
     """
     v = _as_samples(x, max_ndim=2)
     n = v.shape[-1]
     _require_pow2(n, "nfft")
     tbl = twiddle_table(n)
-    y = v.reshape(-1, n).T[tbl.bit_reverse]  # (N, rows), bit-reversed
-    rows = y.shape[1]
+    parts = tbl.nfft_stages
+    one = (1.0, 0.0)  # the signs and the magnitudes of W^0
 
-    # 4 matrix entries per pair in the cost model; the unity column is
-    # applied once and reused by both rows (bit-identical either way), the
-    # -1 entry is the exact negation of the unity product.
-    ur, ui = _mf_complex_raw(1.0, 0.0, y.real, y.imag)
-    y_r, y_i, out_r, out_i = (np.empty((n, rows)) for _ in range(4))
-    y_r[0::2] = ur[0::2] + ur[1::2]
-    y_i[0::2] = ui[0::2] + ui[1::2]
-    y_r[1::2] = ur[0::2] - ur[1::2]
-    y_i[1::2] = ui[0::2] - ui[1::2]
+    def product(s, b):  # the bottom stage's products are the unity ones, taken up front
+        return b if s == 0 else _mf_complex_factored(*parts[s], b)
 
-    for h, w_sign, w_abs in tbl.nfft_stages:
-        y4_r, y4_i, out4_r, out4_i = (p.reshape(-1, 2, h, rows) for p in (y_r, y_i, out_r, out_i))
-        b_r, b_i = y4_r[:, 1], y4_i[:, 1]
-        sums = _magnitude_sums(w_abs, (np.abs(b_r), np.abs(b_i)))
-        t_r, t_i = _mf_complex_factored(w_sign, (np.sign(b_r), np.sign(b_i)), sums)
-        np.add(y4_r[:, 0], t_r, out=out4_r[:, 0])
-        np.add(y4_i[:, 0], t_i, out=out4_i[:, 0])
-        np.subtract(y4_r[:, 0], t_r, out=out4_r[:, 1])
-        np.subtract(y4_i[:, 0], t_i, out=out4_i[:, 1])
-        y_r, out_r = out_r, y_r
-        y_i, out_i = out_i, y_i
-    bins = np.empty((rows, n), dtype=complex)
-    bins.real = y_r.T
-    bins.imag = y_i.T
-    return Spectrum(bins.reshape(v.shape), TransformKind.NFFT,
-                    OpCountReport.complex(rows * nfft_complex_ops(n)))
+    return Spectrum(_radix2(_mf_complex_factored(one, one, v), tbl, product), TransformKind.NFFT,
+                    OpCountReport.complex(v.size // n * nfft_complex_ops(n)))
 
 
 def peak_index(s) -> int:

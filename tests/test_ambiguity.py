@@ -82,6 +82,21 @@ def test_lag_contract_errors():
         lag_product_mf(np.ones(4, dtype=complex), np.ones(8, dtype=complex), 0, n=8)
 
 
+@pytest.mark.parametrize("lag_fn", [lag_product_exact, lag_product_mf])
+def test_lag_past_n_gives_zero_row(lag_fn):
+    # From lag n on, every i < n has i - l < 0: the causal reference is zero
+    # there, and the lag only has to stay below the reference length.
+    g = rng()
+    surv, ref = unit_noiselike(g, 8), unit_noiselike(g, 16)
+    for l in range(8, 16):
+        y = lag_fn(surv, ref, l, 8)
+        assert y.shape == (8,) and np.array_equal(y, np.zeros(8))
+    surface = compute_ambiguity("eq11", signal(surv), signal(ref), 16, 8)
+    oracle = direct_surface(surv, ref, 16, 8)
+    assert np.max(np.abs(surface.values - oracle)) / np.max(np.abs(oracle)) < 1e-9
+    assert not compute_ambiguity("eq12a", signal(surv), signal(ref), 16, 8).values[8:].any()
+
+
 # --- exact surface against the double-sum oracle ------------------------------------
 
 def test_eq11_equals_direct_double_sum():

@@ -242,6 +242,35 @@ def test_ambiguity_malformed_number_names_key(tmp_path, capsys, mutate, key):
     assert sorted(os.listdir(tmp_path)) == ["bad.json", "scene.json"]
 
 
+def short_benchmark_scene(tmp_path, l_bins):
+    """The benchmark scene at n=64 over 120 samples, with ``l_bins`` lags."""
+    doc = json.loads((DEMOS / "scenario_benchmark.json").read_text())
+    doc.update(n=64, l_bins=l_bins)
+    doc["fm"]["duration_samples"] = 120
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_ambiguity_lags_past_n_give_floor_rows(tmp_path):
+    out = str(tmp_path / "x")
+    assert main(["ambiguity", "--scenario", short_benchmark_scene(tmp_path, 100),
+                 "--variant", "eq12a", "--out", out]) == 0
+    header, rows = read_csv(out + ".surface.csv")
+    assert header == ["l", "p", "magnitude_db"] and len(rows) == 100 * 64
+    db = np.array([float(r[2]) for r in rows]).reshape(100, 64)
+    assert np.all(db[64:] == -300.0) and np.all(db[:64].max(axis=1) > -300.0)
+
+
+def test_ambiguity_l_bins_past_reference_names_key(tmp_path, capsys):
+    out = str(tmp_path / "x")
+    assert main(["ambiguity", "--scenario", short_benchmark_scene(tmp_path, 121),
+                 "--variant", "eq11", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "l_bins" in err and "duration_samples" in err
+    assert os.listdir(tmp_path) == ["short.json"]
+
+
 def test_ambiguity_conjugate_off_flag(tmp_path):
     scn = scene_path(tmp_path)
     on = str(tmp_path / "on")

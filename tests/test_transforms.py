@@ -41,7 +41,7 @@ def random_signal(g, n):
 
 
 from oracles import fft_recursive, ndft_double_loop, nfft_recursive
-from signadd.operator import _magnitude_sums, _mf_complex_factored, _mf_complex_raw
+from signadd.operator import _mf_complex_factored, _mf_complex_raw
 
 
 # --- ComplexSignal / Spectrum contracts ----------------------------------------
@@ -300,11 +300,12 @@ def test_nfft_stage_parts_match_pairwise_kernel():
     g = rng()
     n, rows = 64, 3
     tbl = twiddle_table(n)
-    for h, w_sign, w_abs in tbl.nfft_stages:
+    for s, (w_sign, w_abs) in enumerate(tbl.nfft_stages):
+        h = 1 << s
         w = tbl.entries[np.arange(h) * (n // (2 * h)), None]
         b_r, b_i = planted_zero_planes(g, (n // (2 * h), h, rows))
-        got = _mf_complex_factored(w_sign, (np.sign(b_r), np.sign(b_i)), _magnitude_sums(
-            w_abs, (np.abs(b_r), np.abs(b_i))))
+        t = _mf_complex_factored(w_sign, w_abs, from_planes(b_r, b_i))
+        got = t.real, t.imag
         want = _mf_complex_raw(w.real, w.imag, b_r, b_i)
         assert np.stack(got).tobytes() == np.stack(want).tobytes()
         # The -W branch is a - t: equal to a + (-W) (*) b for an even branch
