@@ -36,12 +36,14 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .operator import ContractError, OpCountReport, _mf_complex_raw
 from .transforms import ComplexSignal, _row_blocks, fft_exact, nfft
 
 __all__ = [
     "SPEED_OF_LIGHT",
+    "DB_FLOOR_CAP",
     "AmbiguityVariant",
     "AmbiguitySurface",
     "lag_product_exact",
@@ -50,6 +52,7 @@ __all__ = [
 ]
 
 SPEED_OF_LIGHT = 299_792_458.0
+DB_FLOOR_CAP = -300.0  # dB level given to zero cells and to all-zero surfaces
 
 
 class AmbiguityVariant(str, Enum):
@@ -86,24 +89,24 @@ class AmbiguitySurface:
     def magnitude(self) -> np.ndarray:
         return np.abs(self.values)
 
-    def magnitude_db(self, floor_db: float = -300.0) -> np.ndarray:
+    def magnitude_db(self) -> np.ndarray:
         mag = self.magnitude()
         peak = mag.max()
         if peak <= 0.0:
-            return np.full(mag.shape, floor_db)
+            return np.full(mag.shape, DB_FLOOR_CAP)
         with np.errstate(divide="ignore"):
             db = 20.0 * np.log10(mag / peak)
-        return np.maximum(db, floor_db)
+        return np.maximum(db, DB_FLOOR_CAP)
 
-    def range_cut(self, floor_db: float = -300.0):
+    def range_cut(self):
         """Per range bin: (bistatic range km, max magnitude over Doppler, dB)."""
-        db = self.magnitude_db(floor_db).max(axis=1)
+        db = self.magnitude_db().max(axis=1)
         ls = np.arange(self.l_bins)
         return ls, ls * self.range_bin_m / 1000.0, db
 
-    def doppler_cut(self, floor_db: float = -300.0):
+    def doppler_cut(self):
         """Per Doppler bin on the centered axis (-fs/2, fs/2]: max over range."""
-        db = self.magnitude_db(floor_db).max(axis=0)
+        db = self.magnitude_db().max(axis=0)
         n = self.n
         p = np.arange(n)
         freq = np.where(p <= n // 2, p, p - n) * self.doppler_bin_hz
@@ -111,36 +114,47 @@ class AmbiguitySurface:
         return freq[order], db[order]
 
 
-def _lag_slices(s_surv, s_ref, l: int, n: int | None):
+def _lag_slices(s_surv, s_ref, l, n: int | None):
+    """The first ``n`` surveillance samples and the reference delayed by each
+    lag in ``l`` (an int, or a 1-d array giving one row per lag)."""
     surv = s_surv.samples if isinstance(s_surv, ComplexSignal) else np.asarray(s_surv, dtype=complex)
     ref = s_ref.samples if isinstance(s_ref, ComplexSignal) else np.asarray(s_ref, dtype=complex)
     if n is None:
         n = surv.size
-    if l < 0:
-        raise ContractError(f"lag must be non-negative, got {l}")
-    if l >= ref.size:
-        raise ContractError(f"lag {l} is not below the reference length {ref.size}")
+    lags = np.asarray(l)
+    lo, hi = lags.min(), lags.max()
+    if lo < 0:
+        raise ContractError(f"lag must be non-negative, got {lo}")
+    if hi >= ref.size:
+        raise ContractError(f"lag {hi} is not below the reference length {ref.size}")
     if surv.size < n:
         raise ContractError(f"surveillance signal shorter than n={n}")
-    if ref.size < n - l:
-        raise ContractError(f"reference signal too short for n={n}, lag={l}")
-    shifted = np.zeros(n, dtype=complex)
-    shifted[l:] = ref[: max(n - l, 0)]  # all zero from lag n on: echoes are causal
-    return surv[:n], shifted
+    if ref.size < n - lo:
+        raise ContractError(f"reference signal too short for n={n}, lag={lo}")
+    # Reference samples before the capture start are zero (echoes are causal;
+    # a row from lag n on is all zero).  The window of the padded reference
+    # that starts at hi - l is the reference delayed by l.
+    padded = np.concatenate((np.zeros(hi, dtype=complex), ref[:n]))
+    return surv[:n], sliding_window_view(padded, n)[hi - lags]
 
 
-def lag_product_exact(s_surv, s_ref, l: int, n: int | None = None,
+def lag_product_exact(s_surv, s_ref, l, n: int | None = None,
                       conjugate_ref: bool = True) -> np.ndarray:
-    """``y[i] = s_surv[i] * conj(s_ref[i-l])`` with zero reference for i < l."""
+    """``y[i] = s_surv[i] * conj(s_ref[i-l])`` with zero reference for i < l.
+
+    An int lag gives one row of ``n``; a 1-d array of lags gives a
+    ``(lags, n)`` array, row ``r`` the product at lag ``l[r]``.
+    """
     surv, shifted = _lag_slices(s_surv, s_ref, l, n)
     if conjugate_ref:
         shifted = np.conj(shifted)
     return surv * shifted
 
 
-def lag_product_mf(s_surv, s_ref, l: int, n: int | None = None,
+def lag_product_mf(s_surv, s_ref, l, n: int | None = None,
                    conjugate_ref: bool = True) -> np.ndarray:
-    """Sign-additive lag product: one complex application per sample."""
+    """Sign-additive lag product: one complex application per sample; lags
+    as in ``lag_product_exact``."""
     surv, shifted = _lag_slices(s_surv, s_ref, l, n)
     ref_im = -shifted.imag if conjugate_ref else shifted.imag
     rr, ri = _mf_complex_raw(surv.real, surv.imag, shifted.real, ref_im)
@@ -185,7 +199,7 @@ def compute_ambiguity(variant, s_surv, s_ref, l_bins: int, n: int,
     rows = np.empty((l_bins, n), dtype=complex)
     transform_counts = OpCountReport()
     for block in _row_blocks(l_bins, n):
-        y = np.stack([lag_fn(s_surv, s_ref, l, n, conjugate_ref) for l in block])
+        y = lag_fn(s_surv, s_ref, block, n, conjugate_ref)
         if gain != 1.0:
             y = gain * y
         spectrum = transform_fn(y)

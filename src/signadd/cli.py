@@ -33,6 +33,7 @@ import os
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
+from functools import partial
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from . import __version__
 from .ambiguity import AmbiguityVariant
 from .detection import DEFAULT_SEEDS, default_table_rows, run_table
 from .operator import ContractError, DomainError, OpCountReport
-from .radar import SchemaError, load_scenario, reseed_scenario, scenario_hash
+from .radar import SchemaError, load_scenario, load_table_set, reseed_scenario, scenario_hash
 from .render import line_svg
 from .transforms import (
     dft_exact,
@@ -195,40 +196,6 @@ def _cmd_ambiguity(args) -> int:
     return 0
 
 
-def _load_table_set(path: str) -> list:
-    from dataclasses import replace
-
-    from .radar import _fields, _load_json, _scenario_from_dict, noise_from_dict
-
-    if path == "default":
-        return default_table_rows()
-    doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise SchemaError("table set must be a JSON object")
-    _fields(doc, (), "", ("environments", "noises", "variants"))
-    for key in ("environments", "noises", "variants"):
-        if key not in doc:
-            raise SchemaError(f"missing required key '{key}' in table set")
-        if not isinstance(doc[key], list):
-            raise SchemaError(f"key '{key}' must be a list")
-    for i, variant in enumerate(doc["variants"]):
-        if variant not in [v.value for v in AmbiguityVariant]:
-            raise SchemaError(f"key 'variants[{i}]' must be one of "
-                              f"{[v.value for v in AmbiguityVariant]}, got {variant!r}")
-    envs = []
-    for i, env in enumerate(doc["environments"]):
-        if not (isinstance(env, dict) and "name" in env and "scenario" in env):
-            raise SchemaError(f"key 'environments[{i}]' needs 'name' and 'scenario'")
-        _fields(env, (), f"environments[{i}].", ("name", "scenario"))
-        if not isinstance(env["name"], str):
-            raise SchemaError(f"key 'environments[{i}].name' must be a string")
-        envs.append((env["name"],
-                     _scenario_from_dict(env["scenario"], f"environments[{i}].scenario.")))
-    noises = [noise_from_dict(nd, f"noises[{i}]") for i, nd in enumerate(doc["noises"])]
-    return [(name, replace(base, noise=noise), variant)
-            for variant in doc["variants"] for name, base in envs for noise in noises]
-
-
 def _cmd_table(args) -> int:
     seeds = args.seeds if args.seeds is not None else list(DEFAULT_SEEDS)
     if args.trials is not None:
@@ -238,7 +205,7 @@ def _cmd_table(args) -> int:
             raise ContractError(
                 f"table: --trials {args.trials} exceeds the {len(seeds)} seeds given")
         seeds = seeds[: args.trials]
-    rows = _load_table_set(args.set)
+    rows = default_table_rows() if args.set == "default" else load_table_set(args.set)
     results = run_table(rows, seeds=seeds,
                         conjugate_ref=args.conjugate_ref == "on")
     name, manifest = _manifest(
@@ -291,18 +258,12 @@ def _cmd_opcount(args) -> int:
     return 0
 
 
-def _seed_list(text: str) -> list[int]:
+def _int_list(what: str, text: str) -> list[int]:
+    """Comma-separated integers; a bad entry names the ``what`` list."""
     try:
         return [int(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad seed list {text!r}") from exc
-
-
-def _n_list(text: str) -> list[int]:
-    try:
-        return [int(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad size list {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"bad {what} list {text!r}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -337,13 +298,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", default="default",
                    help="table-set JSON path, or 'default'")
     p.add_argument("--trials", type=int, help="use the first N seeds")
-    p.add_argument("--seeds", type=_seed_list, help="comma-separated seed list")
+    p.add_argument("--seeds", type=partial(_int_list, "seed"),
+                   help="comma-separated seed list")
     p.add_argument("--out", required=True, help="output prefix")
     p.add_argument("--conjugate-ref", choices=["on", "off"], default="on")
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("opcount", help="reported vs analytic operation counts")
-    p.add_argument("--n-list", type=_n_list, default=[2, 4, 8, 16, 32, 64],
+    p.add_argument("--n-list", type=partial(_int_list, "size"),
+                   default=[2, 4, 8, 16, 32, 64],
                    help="comma-separated transform sizes (powers of two)")
     p.add_argument("--out", required=True, help="output prefix")
     p.set_defaults(func=_cmd_opcount)

@@ -21,9 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .ambiguity import AmbiguitySurface, AmbiguityVariant, compute_ambiguity
+from .ambiguity import DB_FLOOR_CAP, AmbiguitySurface, AmbiguityVariant, compute_ambiguity
 from .operator import ContractError, OpCountReport
-from .radar import Scenario, build_signals, reseed_scenario, true_bins
+from .radar import (NoiseKind, NoiseModel, Scenario, build_signals, reseed_scenario,
+                    standard_environments, table_rows, true_bins)
 
 __all__ = [
     "Peak",
@@ -41,9 +42,8 @@ __all__ = [
     "DB_FLOOR_CAP",
 ]
 
-DEFAULT_GUARD = (2, 2)
+DEFAULT_GUARD = (2, 2)  # (range, Doppler) half-widths of every guard box
 DEFAULT_SEEDS = tuple(range(10))
-DB_FLOOR_CAP = -300.0
 
 _OUTCOME_ORDER = {"no detection": 0, "partial": 1, "detected": 2}
 
@@ -118,18 +118,15 @@ def _circular_distance(a: int, b: int, n: int) -> int:
     return min(d, n - d)
 
 
-def classify(surface: AmbiguitySurface, scenario: Scenario,
-             guard: tuple[int, int] = DEFAULT_GUARD) -> DetectionReport:
+def classify(surface: AmbiguitySurface, scenario: Scenario) -> DetectionReport:
     """Mark each obstacle detected/masked from the top-(n_t + n_c) peaks."""
-    if guard[0] < 1 or guard[1] < 1:
-        raise ContractError("classify: guard must be at least (1, 1)")
     k = len(scenario.obstacles)
     peaks = find_peaks(surface, k)
     statuses = []
     for l0, p0 in true_bins(scenario):
         hit = any(
-            abs(pk.l - l0) <= guard[0]
-            and _circular_distance(pk.p, p0, surface.n) <= guard[1]
+            abs(pk.l - l0) <= DEFAULT_GUARD[0]
+            and _circular_distance(pk.p, p0, surface.n) <= DEFAULT_GUARD[1]
             for pk in peaks
         )
         statuses.append("detected" if hit else "masked")
@@ -143,7 +140,7 @@ def classify(surface: AmbiguitySurface, scenario: Scenario,
     return DetectionReport(
         statuses=tuple(statuses),
         overall=overall,
-        sidelobe_floor_db=sidelobe_floor_db(surface, scenario, guard),
+        sidelobe_floor_db=sidelobe_floor_db(surface, scenario),
         variant=surface.variant,
         noise=scenario.noise.label(),
         seed=scenario.noise.seed,
@@ -151,22 +148,21 @@ def classify(surface: AmbiguitySurface, scenario: Scenario,
     )
 
 
-def _guard_mask(surface: AmbiguitySurface, scenario: Scenario,
-                guard: tuple[int, int]) -> np.ndarray:
+def _guard_mask(surface: AmbiguitySurface, scenario: Scenario) -> np.ndarray:
+    guard_l, guard_p = DEFAULT_GUARD
     mask = np.zeros(surface.values.shape, dtype=bool)
     l_max, n = surface.l_bins, surface.n
     for l0, p0 in true_bins(scenario):
-        rows = slice(max(0, l0 - guard[0]), min(l_max, l0 + guard[0] + 1))
-        for dp in range(-guard[1], guard[1] + 1):
+        rows = slice(max(0, l0 - guard_l), min(l_max, l0 + guard_l + 1))
+        for dp in range(-guard_p, guard_p + 1):
             mask[rows, (p0 + dp) % n] = True
     return mask
 
 
-def sidelobe_floor_db(surface: AmbiguitySurface, scenario: Scenario,
-                      guard: tuple[int, int] = DEFAULT_GUARD) -> float:
+def sidelobe_floor_db(surface: AmbiguitySurface, scenario: Scenario) -> float:
     """Largest magnitude outside every guard box, dB relative to the global
     peak; never above 0, capped at the finite floor for zero cells."""
-    mask = _guard_mask(surface, scenario, guard)
+    mask = _guard_mask(surface, scenario)
     if mask.all():
         raise ContractError("sidelobe_floor_db: guard regions cover the whole surface")
     mag = surface.magnitude()
@@ -194,11 +190,10 @@ def surface_for_scenario(scn: Scenario, variant,
 
 
 def run_scenario(scn: Scenario, variant, seed: int,
-                 guard: tuple[int, int] = DEFAULT_GUARD,
                  conjugate_ref: bool = True) -> DetectionReport:
     trial = reseed_scenario(scn, seed)
     surface = surface_for_scenario(trial, variant, conjugate_ref)
-    return replace(classify(surface, trial, guard), seed=seed)
+    return replace(classify(surface, trial), seed=seed)
 
 
 def _majority(outcomes: Sequence[str]) -> str:
@@ -211,7 +206,6 @@ def _majority(outcomes: Sequence[str]) -> str:
 
 def run_table(rows: Sequence[tuple[str, Scenario, str]],
               seeds: Sequence[int] = DEFAULT_SEEDS,
-              guard: tuple[int, int] = DEFAULT_GUARD,
               conjugate_ref: bool = True) -> list[TableRow]:
     """One aggregated row per (environment, scenario, variant) entry."""
     if len(seeds) < 1:
@@ -224,7 +218,7 @@ def run_table(rows: Sequence[tuple[str, Scenario, str]],
             trial = reseed_scenario(scn, seed)
             surface = surface_for_scenario(trial, variant, conjugate_ref)
             totals += surface.op_counts
-            reports.append(classify(surface, trial, guard))
+            reports.append(classify(surface, trial))
         out.append(TableRow(
             environment=env_name,
             variant=AmbiguityVariant(variant).value,
@@ -242,18 +236,11 @@ def run_table(rows: Sequence[tuple[str, Scenario, str]],
 def default_table_rows() -> list[tuple[str, Scenario, str]]:
     """The shipped benchmark matrix: 3 environments x 4 noise cases x 2
     variants, the sign-additive variant first."""
-    from .radar import NoiseKind, NoiseModel, standard_environments
-
     noises = [
         NoiseModel(kind=NoiseKind.AWGN, snr_db=3.0),
         NoiseModel(kind=NoiseKind.AWGN, snr_db=6.0),
         NoiseModel(kind=NoiseKind.EPS_CONTAMINATED, eps=0.9, sigma1=0.25, sigma2=10.0),
         NoiseModel(kind=NoiseKind.EPS_CONTAMINATED, eps=0.8, sigma1=0.5, sigma2=20.0),
     ]
-    rows = []
-    for variant in ("eq12a", "eq11"):
-        for env_name, factory in standard_environments().items():
-            base = factory()
-            for noise in noises:
-                rows.append((env_name, replace(base, noise=noise), variant))
-    return rows
+    envs = [(name, make()) for name, make in standard_environments().items()]
+    return table_rows(("eq12a", "eq11"), envs, noises)

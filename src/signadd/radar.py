@@ -24,11 +24,12 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import partial
 from operator import attrgetter
 
 import numpy as np
 
-from .ambiguity import SPEED_OF_LIGHT
+from .ambiguity import SPEED_OF_LIGHT, AmbiguityVariant
 from .operator import ContractError
 from .transforms import ComplexSignal
 
@@ -54,6 +55,8 @@ __all__ = [
     "load_scenario",
     "save_scenario",
     "scenario_hash",
+    "table_rows",
+    "load_table_set",
     "two_targets_one_clutter",
     "four_targets_two_clutters",
     "one_target_three_clutters",
@@ -348,13 +351,13 @@ class SchemaError(ValueError):
 
 
 def _value(v, kind, name: str):
-    """JSON value ``v`` of key ``name`` as ``kind``: float, int or NoiseKind."""
-    if kind is NoiseKind:
+    """JSON value ``v`` of key ``name`` as ``kind``: float, int or an Enum."""
+    if issubclass(kind, Enum):
         try:
-            return NoiseKind(v)
+            return kind(v)
         except ValueError:
             raise SchemaError(f"key '{name}' must be one of "
-                              f"{[k.value for k in NoiseKind]}, got {v!r}") from None
+                              f"{[k.value for k in kind]}, got {v!r}") from None
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError(f"key '{name}' must be a number")
     if not abs(v) <= sys.float_info.max:  # NaN, Infinity, or an int beyond float
@@ -395,12 +398,13 @@ def _to_doc(obj, fields) -> dict:
     return doc
 
 
-def _build(cls, **kwargs):
-    """``cls(**kwargs)`` with a broken contract reported as a SchemaError."""
+def _build(cls, where: str, **kwargs):
+    """``cls(**kwargs)`` with a broken contract reported as a SchemaError
+    that names the object's key path ``where`` (empty at the top level)."""
     try:
         return cls(**kwargs)
     except ContractError as exc:
-        raise SchemaError(str(exc)) from exc
+        raise SchemaError(f"key '{where}': {exc}" if where else str(exc)) from exc
 
 
 def _required(doc: dict, key: str, where: str):
@@ -416,7 +420,7 @@ def noise_from_dict(doc: dict, name: str) -> NoiseModel:
         if key not in doc:
             raise SchemaError(f"missing required key '{name}.{key}' "
                               f"for {noise['kind'].value} noise")
-    return _build(NoiseModel, **noise)
+    return _build(NoiseModel, name, **noise)
 
 
 def _scenario_from_dict(doc, where: str) -> Scenario:
@@ -437,7 +441,8 @@ def _scenario_from_dict(doc, where: str) -> Scenario:
         ob = _fields(item, _OBSTACLE_FIELDS, f"{where}obstacles[{i}].")
         amplitude = complex(ob.pop("amplitude.real"), ob.pop("amplitude.imag"))
         obstacles.append(Obstacle(amplitude=amplitude, **ob))
-    return _build(Scenario, obstacles=tuple(obstacles), fm=_build(StereoFmConfig, **fm),
+    return _build(Scenario, where[:-1], obstacles=tuple(obstacles),
+                  fm=_build(StereoFmConfig, where + "fm", **fm),
                   noise=noise_from_dict(doc.get("noise", {}), where + "noise"), **top)
 
 
@@ -481,23 +486,65 @@ def scenario_hash(scn: Scenario) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
+# --- table sets -------------------------------------------------------------
+
+def table_rows(variants, environments, noises) -> list[tuple[str, Scenario, str]]:
+    """(name, scenario with the noise case, variant) for every variant x
+    ``(name, scenario)`` environment x noise case, in that nesting order."""
+    return [(name, replace(scn, noise=noise), variant)
+            for variant in variants for name, scn in environments for noise in noises]
+
+
+def load_table_set(path) -> list[tuple[str, Scenario, str]]:
+    """Rows of a table-set file: its ``environments`` (each a string ``name``
+    and a ``scenario``), ``noises`` and ``variants``, through ``table_rows``."""
+    doc = _load_json(path)
+    if not isinstance(doc, dict):
+        raise SchemaError("table set must be a JSON object")
+    _fields(doc, (), "", ("environments", "noises", "variants"))
+    for key in ("environments", "noises", "variants"):
+        if key not in doc:
+            raise SchemaError(f"missing required key '{key}' in table set")
+        if not isinstance(doc[key], list):
+            raise SchemaError(f"key '{key}' must be a list")
+    variants = [_value(v, AmbiguityVariant, f"variants[{i}]").value
+                for i, v in enumerate(doc["variants"])]
+    envs = []
+    for i, env in enumerate(doc["environments"]):
+        if not (isinstance(env, dict) and "name" in env and "scenario" in env):
+            raise SchemaError(f"key 'environments[{i}]' needs 'name' and 'scenario'")
+        _fields(env, (), f"environments[{i}].", ("name", "scenario"))
+        if not isinstance(env["name"], str):
+            raise SchemaError(f"key 'environments[{i}].name' must be a string")
+        envs.append((env["name"],
+                     _scenario_from_dict(env["scenario"], f"environments[{i}].scenario.")))
+    noises = [noise_from_dict(nd, f"noises[{i}]") for i, nd in enumerate(doc["noises"])]
+    return table_rows(variants, envs, noises)
+
+
 # --- shipped environments ---------------------------------------------------
 #
-# The two-target/one-clutter scene is the documented benchmark geometry.
-# The larger scenes are shipped defaults chosen so every (range, Doppler)
-# bin pair is separated from the others by more than the default guard.
+# Name -> obstacles as (x_km, y_km, doppler_hz); every scene shares the
+# geometry, waveform and sizes of _shipped_scene.  The two-target/one-clutter
+# scene is the documented benchmark geometry.  The larger scenes are shipped
+# defaults chosen so every (range, Doppler) bin pair is separated from the
+# others by more than the detection guard.
 
-def two_targets_one_clutter(noise: NoiseModel | None = None, seed: int = 0, n: int = 4096,
-                    l_bins: int = 64) -> Scenario:
-    """Two targets and one clutter: the benchmark scene."""
+_SCENES = {
+    "2t1c": ((10.0, 0.0, 200.0), (20.0, 0.0, 157.0), (28.0, 33.0, 0.0)),
+    "4t2c": ((10.0, 0.0, 200.0), (20.0, 0.0, 157.0), (5.0, 5.0, 350.0),
+             (12.0, -14.0, -260.0), (28.0, 33.0, 0.0), (-18.0, 20.0, 0.0)),
+    "1t3c": ((10.0, 0.0, 200.0), (28.0, 33.0, 0.0), (-18.0, 20.0, 0.0),
+             (14.0, 8.0, 0.0)),
+}
+
+
+def _shipped_scene(name: str, noise: NoiseModel | None = None, seed: int = 0,
+                   n: int = 4096, l_bins: int = 64) -> Scenario:
     return Scenario(
         tx_km=(0.0, 10.0),
         rx_km=(0.0, 0.0),
-        obstacles=(
-            Obstacle(10.0, 0.0, doppler_hz=200.0),
-            Obstacle(20.0, 0.0, doppler_hz=157.0),
-            Obstacle(28.0, 33.0, doppler_hz=0.0),
-        ),
+        obstacles=tuple(Obstacle(x, y, doppler_hz=d) for x, y, d in _SCENES[name]),
         noise=noise or NoiseModel(),
         fm=StereoFmConfig(duration_samples=n + l_bins, seed=seed),
         n=n,
@@ -505,48 +552,11 @@ def two_targets_one_clutter(noise: NoiseModel | None = None, seed: int = 0, n: i
     )
 
 
-def four_targets_two_clutters(noise: NoiseModel | None = None, seed: int = 0,
-                              n: int = 4096, l_bins: int = 64) -> Scenario:
-    return Scenario(
-        tx_km=(0.0, 10.0),
-        rx_km=(0.0, 0.0),
-        obstacles=(
-            Obstacle(10.0, 0.0, doppler_hz=200.0),
-            Obstacle(20.0, 0.0, doppler_hz=157.0),
-            Obstacle(5.0, 5.0, doppler_hz=350.0),
-            Obstacle(12.0, -14.0, doppler_hz=-260.0),
-            Obstacle(28.0, 33.0, doppler_hz=0.0),
-            Obstacle(-18.0, 20.0, doppler_hz=0.0),
-        ),
-        noise=noise or NoiseModel(),
-        fm=StereoFmConfig(duration_samples=n + l_bins, seed=seed),
-        n=n,
-        l_bins=l_bins,
-    )
-
-
-def one_target_three_clutters(noise: NoiseModel | None = None, seed: int = 0,
-                              n: int = 4096, l_bins: int = 64) -> Scenario:
-    return Scenario(
-        tx_km=(0.0, 10.0),
-        rx_km=(0.0, 0.0),
-        obstacles=(
-            Obstacle(10.0, 0.0, doppler_hz=200.0),
-            Obstacle(28.0, 33.0, doppler_hz=0.0),
-            Obstacle(-18.0, 20.0, doppler_hz=0.0),
-            Obstacle(14.0, 8.0, doppler_hz=0.0),
-        ),
-        noise=noise or NoiseModel(),
-        fm=StereoFmConfig(duration_samples=n + l_bins, seed=seed),
-        n=n,
-        l_bins=l_bins,
-    )
+two_targets_one_clutter = partial(_shipped_scene, "2t1c")
+four_targets_two_clutters = partial(_shipped_scene, "4t2c")
+one_target_three_clutters = partial(_shipped_scene, "1t3c")
 
 
 def standard_environments() -> dict:
     """Name -> scenario factory for the shipped benchmark environments."""
-    return {
-        "2t1c": two_targets_one_clutter,
-        "4t2c": four_targets_two_clutters,
-        "1t3c": one_target_three_clutters,
-    }
+    return {name: partial(_shipped_scene, name) for name in _SCENES}

@@ -97,6 +97,29 @@ def test_lag_past_n_gives_zero_row(lag_fn):
     assert not compute_ambiguity("eq12a", signal(surv), signal(ref), 16, 8).values[8:].any()
 
 
+@pytest.mark.parametrize("conjugate_ref", [True, False])
+@pytest.mark.parametrize("lag_fn", [lag_product_exact, lag_product_mf])
+def test_lag_block_equals_per_lag_calls(lag_fn, conjugate_ref):
+    # One call over a block of lags, lags past n and a repeat included,
+    # against one call per lag and against lag 0 on the reference shifted by
+    # hand; zeros of both signs are planted in both signals.
+    g = rng()
+    n = 16
+    surv = g.standard_normal(n) + 1j * g.standard_normal(n)
+    ref = g.standard_normal(24) + 1j * g.standard_normal(24)
+    surv[[1, 6]] = [complex(-0.0, 0.0), complex(0.0, -0.0)]
+    ref[[0, 3, 7]] = [complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0)]
+    lags = np.array([0, 3, 5, 15, 16, 23, 3])
+    block = lag_fn(surv, signal(ref), lags, n, conjugate_ref)
+    assert block.shape == (lags.size, n)
+    per_lag = np.stack([lag_fn(surv, signal(ref), int(l), n, conjugate_ref) for l in lags])
+    assert block.tobytes() == per_lag.tobytes()
+    for row, l in zip(block, lags):
+        shifted = np.zeros(n, dtype=complex)
+        shifted[l:] = ref[: max(n - l, 0)]
+        assert row.tobytes() == lag_fn(surv, shifted, 0, n, conjugate_ref).tobytes()
+
+
 # --- exact surface against the double-sum oracle ------------------------------------
 
 def test_eq11_equals_direct_double_sum():

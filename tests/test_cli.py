@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signadd import NoiseKind, NoiseModel, cli, save_scenario, two_targets_one_clutter
-from signadd.cli import _load_table_set, main
+from signadd.cli import main
+from signadd.radar import load_table_set
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -346,7 +347,7 @@ def test_table_default_set_has_24_rows(tmp_path):
 
 def test_table_set_example_loads():
     # the README points users at this file as the table-set format
-    rows = _load_table_set(str(DEMOS / "table_set_example.json"))
+    rows = load_table_set(str(DEMOS / "table_set_example.json"))
     assert len(rows) == 8
     assert [v for _, _, v in rows] == ["eq12a"] * 4 + ["eq11"] * 4
     assert {name for name, _, _ in rows} == {"2t1c"}
@@ -408,6 +409,34 @@ def test_table_set_schema_errors_name_key(tmp_path, capsys, patch, key):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"'{key}'" in err
     assert sorted(os.listdir(tmp_path)) == ["scene.json", "set.json"]
+
+
+def test_table_set_scenario_contract_error_names_path(tmp_path, capsys):
+    # a Scenario-level check, not a single field: l_bins past the reference
+    scn_doc = json.loads(Path(short_benchmark_scene(tmp_path, 121)).read_text())
+    set_path = tmp_path / "set.json"
+    set_path.write_text(json.dumps({
+        "environments": [{"name": "e", "scenario": scn_doc}],
+        "noises": [{"kind": "none"}],
+        "variants": ["eq11"],
+    }))
+    assert main(["table", "--set", str(set_path), "--seeds", "0",
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "'environments[0].scenario'" in err
+    assert "l_bins=121" in err and "duration_samples=120" in err
+    assert sorted(os.listdir(tmp_path)) == ["set.json", "short.json"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["table", "--seeds", "0,x"], "argument --seeds: bad seed list '0,x'"),
+    (["opcount", "--n-list", "8,1.5"], "argument --n-list: bad size list '8,1.5'"),
+], ids=["seeds", "n-list"])
+def test_bad_int_list_names_flag(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "o")])
+    assert exc.value.code == 2 and message in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("command,seed", [("table", -1), ("ambiguity", -3)])

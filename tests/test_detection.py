@@ -179,12 +179,6 @@ def test_classify_and_floor_invariant_under_power_of_two_scale(seed, planted, k)
     assert sidelobe_floor_db(scaled, scn) == sidelobe_floor_db(surface, scn)
 
 
-def test_classify_guard_validation():
-    scn = _tiny_scene()
-    with pytest.raises(ContractError):
-        classify(_planted(true_bins(scn)), scn, guard=(0, 2))
-
-
 # --- side-lobe floor -------------------------------------------------------------------
 
 def test_floor_single_peak_is_capped():
@@ -202,16 +196,17 @@ def test_floor_simple_ratio():
 
 
 def test_floor_guard_coverage_error():
-    # co-located geometry puts the single true bin at (0, 0); a +-8 Doppler
-    # guard then wraps the entire 1 x 16 surface
+    # co-located geometry puts the single true bin at (0, 0); the fixed +-2
+    # Doppler guard then wraps the entire 1 x 4 surface, but leaves 3 of the
+    # 8 columns of a 1 x 8 surface outside
     scn = Scenario(
         tx_km=(0.0, 0.0005), rx_km=(0.0, 0.0),
         obstacles=(Obstacle(0.0, 0.0),),
         fm=StereoFmConfig(duration_samples=80, f_s=200_000.0),
-        n=16, l_bins=1, surv_gain=1.0, transform_input_gain=1.0)
-    vals = np.ones((1, 16))
+        n=4, l_bins=1, surv_gain=1.0, transform_input_gain=1.0)
     with pytest.raises(ContractError):
-        sidelobe_floor_db(synthetic_surface(vals), scn, guard=(2, 8))
+        sidelobe_floor_db(synthetic_surface(np.ones((1, 4))), scn)
+    assert sidelobe_floor_db(synthetic_surface(np.ones((1, 8))), scn) == 0.0
 
 
 # --- live pipeline classifications ------------------------------------------------------
