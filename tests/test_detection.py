@@ -25,6 +25,7 @@ from signadd import (
     two_targets_one_clutter,
     true_bins,
 )
+from signadd.ambiguity import SPEED_OF_LIGHT
 from signadd.detection import DB_FLOOR_CAP, default_table_rows, _majority
 
 
@@ -207,6 +208,66 @@ def test_floor_guard_coverage_error():
     with pytest.raises(ContractError):
         sidelobe_floor_db(synthetic_surface(np.ones((1, 4))), scn)
     assert sidelobe_floor_db(synthetic_surface(np.ones((1, 8))), scn) == 0.0
+
+
+# --- guard boxes against the distance rule they implement ------------------------------
+
+def _scene_at_bins(bins, n, l_bins, fs=200_000.0):
+    """A scenario whose obstacles have the given true (range, Doppler) bins:
+    transmitter and receiver at the origin, each obstacle on the x axis."""
+    km_per_bin = SPEED_OF_LIGHT / (2000.0 * fs)
+    return Scenario(
+        tx_km=(0.0, 0.0), rx_km=(0.0, 0.0),
+        obstacles=tuple(Obstacle(l * km_per_bin, 0.0, doppler_hz=p * fs / n) for l, p in bins),
+        fm=StereoFmConfig(duration_samples=n + l_bins + 8, f_s=fs),
+        n=n, l_bins=l_bins, surv_gain=1.0, transform_input_gain=1.0)
+
+
+@st.composite
+def guard_cases(draw):
+    """Obstacles near the first and last range bins and across the Doppler
+    wrap, with one planted peak each at most 3 bins from its true bin."""
+    n = draw(st.sampled_from([4, 8, 16, 64]))
+    l_bins = draw(st.integers(1, 24))
+    near_range = st.one_of(st.integers(0, 3), st.integers(max(0, l_bins - 3), l_bins + 2))
+    near_wrap = st.one_of(st.integers(-3, 3), st.integers(n - 3, n + 2), st.integers(0, n - 1))
+    bins = draw(st.lists(st.tuples(near_range, near_wrap), min_size=1, max_size=3))
+    offsets = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                            min_size=len(bins), max_size=len(bins)))
+    return n, l_bins, bins, offsets, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(guard_cases())
+def test_guard_boxes_equal_distance_rule(case):
+    n, l_bins, bins, offsets, seed = case
+    scn = _scene_at_bins(bins, n, l_bins)
+    truth = true_bins(scn)
+    assert truth == [(l, p % n) for l, p in bins]
+    vals = np.random.default_rng(seed).random((l_bins, n))
+    for (l0, p0), (dl, dp) in zip(truth, offsets):
+        if 0 <= l0 + dl < l_bins:
+            vals[l0 + dl, (p0 + dp) % n] = 2.0 + seed % 7
+
+    def in_box(l, p, l0, p0):  # the rule: range distance and circular Doppler distance
+        d = abs(p - p0) % n
+        return abs(l - l0) <= 2 and min(d, n - d) <= 2
+
+    mask = np.array([[any(in_box(l, p, l0, p0) for l0, p0 in truth) for p in range(n)]
+                     for l in range(l_bins)])
+    surface = synthetic_surface(vals)
+    if mask.all():
+        for fn in (classify, sidelobe_floor_db):
+            with pytest.raises(ContractError):
+                fn(surface, scn)
+        return
+    gmax, outside = float(vals.max()), float(vals[~mask].max())
+    assert sidelobe_floor_db(surface, scn) == max(20.0 * np.log10(outside / gmax), DB_FLOOR_CAP)
+    report = classify(surface, scn)
+    assert report.peaks == tuple(find_peaks(surface, len(bins)))
+    assert report.statuses == tuple(
+        "detected" if any(in_box(pk.l, pk.p, l0, p0) for pk in report.peaks) else "masked"
+        for l0, p0 in truth)
 
 
 # --- live pipeline classifications ------------------------------------------------------
