@@ -14,10 +14,10 @@ eq12b      sign-additive       exact FFT
 eq12c      exact multiply      nonlinear FFT
 =========  ==================  =====================
 
-The reference is conjugated before the lag product in every variant
-(matched-filter convention); ``conjugate_ref=False`` gives the unconjugated
-form, which mirrors the Doppler axis.  Reference samples before the capture
-start are taken as zero: echoes are causal, there is no wraparound.
+The reference is conjugated before the lag product in every variant, so a
+row correlates the surveillance signal with the delayed reference: the
+cross-ambiguity function of passive radar.  Reference samples before the
+capture start are taken as zero: echoes are causal, there is no wraparound.
 
 The nonlinear-FFT variants accept an input gain applied to the lag product
 before the transform.  The sign-additive product is only jointly
@@ -138,26 +138,21 @@ def _lag_slices(s_surv, s_ref, l, n: int | None):
     return surv[:n], sliding_window_view(padded, n)[hi - lags]
 
 
-def lag_product_exact(s_surv, s_ref, l, n: int | None = None,
-                      conjugate_ref: bool = True) -> np.ndarray:
+def lag_product_exact(s_surv, s_ref, l, n: int | None = None) -> np.ndarray:
     """``y[i] = s_surv[i] * conj(s_ref[i-l])`` with zero reference for i < l.
 
     An int lag gives one row of ``n``; a 1-d array of lags gives a
     ``(lags, n)`` array, row ``r`` the product at lag ``l[r]``.
     """
     surv, shifted = _lag_slices(s_surv, s_ref, l, n)
-    if conjugate_ref:
-        shifted = np.conj(shifted)
-    return surv * shifted
+    return surv * np.conj(shifted)
 
 
-def lag_product_mf(s_surv, s_ref, l, n: int | None = None,
-                   conjugate_ref: bool = True) -> np.ndarray:
+def lag_product_mf(s_surv, s_ref, l, n: int | None = None) -> np.ndarray:
     """Sign-additive lag product: one complex application per sample; lags
     as in ``lag_product_exact``."""
     surv, shifted = _lag_slices(s_surv, s_ref, l, n)
-    ref_im = -shifted.imag if conjugate_ref else shifted.imag
-    rr, ri = _mf_complex_raw(surv.real, surv.imag, shifted.real, ref_im)
+    rr, ri = _mf_complex_raw(surv.real, surv.imag, shifted.real, -shifted.imag)
     return rr + 1j * ri
 
 
@@ -171,8 +166,7 @@ _STAGES = {
 
 
 def compute_ambiguity(variant, s_surv, s_ref, l_bins: int, n: int,
-                      transform_input_gain: float = 1.0,
-                      conjugate_ref: bool = True) -> AmbiguitySurface:
+                      transform_input_gain: float = 1.0) -> AmbiguitySurface:
     """Surface of a variant given by name or enum.
 
     The input gain reaches only the nonlinear-FFT variants; for the exact
@@ -199,7 +193,7 @@ def compute_ambiguity(variant, s_surv, s_ref, l_bins: int, n: int,
     rows = np.empty((l_bins, n), dtype=complex)
     transform_counts = OpCountReport()
     for block in _row_blocks(l_bins, n):
-        y = lag_fn(s_surv, s_ref, block, n, conjugate_ref)
+        y = lag_fn(s_surv, s_ref, block, n)
         if gain != 1.0:
             y = gain * y
         spectrum = transform_fn(y)

@@ -115,8 +115,11 @@ def _manifest(prefix: str, command: str, args_desc: dict,
 
 
 def _read_signal_csv(path: str) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"signal file {path} is not UTF-8 text ({exc})") from exc
     if not rows or [c.strip() for c in rows[0][:2]] != ["re", "im"]:
         raise SchemaError(f"signal file {path} must have a 're,im' header row")
     try:
@@ -164,12 +167,11 @@ def _cmd_ambiguity(args) -> int:
     scn = load_scenario(args.scenario)
     if args.seed is not None:
         scn = reseed_scenario(scn, args.seed)
-    conjugate = args.conjugate_ref == "on"
-    surface = surface_for_scenario(scn, args.variant, conjugate_ref=conjugate)
+    surface = surface_for_scenario(scn, args.variant)
     name, manifest = _manifest(
         args.out, "ambiguity",
         {"scenario_sha256": scenario_hash(scn), "variant": args.variant,
-         "seed": args.seed, "conjugate_ref": args.conjugate_ref},
+         "seed": args.seed},
         surface.op_counts)
 
     db = surface.magnitude_db()
@@ -206,8 +208,7 @@ def _cmd_table(args) -> int:
                 f"table: --trials {args.trials} exceeds the {len(seeds)} seeds given")
         seeds = seeds[: args.trials]
     rows = default_table_rows() if args.set == "default" else load_table_set(args.set)
-    results = run_table(rows, seeds=seeds,
-                        conjugate_ref=args.conjugate_ref == "on")
+    results = run_table(rows, seeds=seeds)
     name, manifest = _manifest(
         args.out, "table",
         {"set": args.set, "seeds": list(seeds), "rows": len(results)})
@@ -291,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="reseed waveform+noise for a trial")
     p.add_argument("--out", required=True, help="output prefix")
     p.add_argument("--svg", action="store_true")
-    p.add_argument("--conjugate-ref", choices=["on", "off"], default="on")
     p.set_defaults(func=_cmd_ambiguity)
 
     p = sub.add_parser("table", help="detection summary over a scenario set")
@@ -301,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=partial(_int_list, "seed"),
                    help="comma-separated seed list")
     p.add_argument("--out", required=True, help="output prefix")
-    p.add_argument("--conjugate-ref", choices=["on", "off"], default="on")
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("opcount", help="reported vs analytic operation counts")

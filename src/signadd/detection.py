@@ -113,23 +113,20 @@ def find_peaks(surface: AmbiguitySurface, k: int) -> list[Peak]:
     return [Peak(int(ls[i]), int(ps[i]), float(vals[i])) for i in order]
 
 
-def _circular_distance(a: int, b: int, n: int) -> int:
-    d = abs(a - b) % n
-    return min(d, n - d)
+def _guard_boxes(surface: AmbiguitySurface, scenario: Scenario):
+    """Per obstacle, the range rows (clipped to the surface) and the Doppler
+    columns (taken circularly) of its guard box."""
+    guard_l, guard_p = DEFAULT_GUARD
+    for l0, p0 in true_bins(scenario):
+        yield (range(max(0, l0 - guard_l), min(surface.l_bins, l0 + guard_l + 1)),
+               [(p0 + dp) % surface.n for dp in range(-guard_p, guard_p + 1)])
 
 
 def classify(surface: AmbiguitySurface, scenario: Scenario) -> DetectionReport:
     """Mark each obstacle detected/masked from the top-(n_t + n_c) peaks."""
-    k = len(scenario.obstacles)
-    peaks = find_peaks(surface, k)
-    statuses = []
-    for l0, p0 in true_bins(scenario):
-        hit = any(
-            abs(pk.l - l0) <= DEFAULT_GUARD[0]
-            and _circular_distance(pk.p, p0, surface.n) <= DEFAULT_GUARD[1]
-            for pk in peaks
-        )
-        statuses.append("detected" if hit else "masked")
+    peaks = find_peaks(surface, len(scenario.obstacles))
+    statuses = ["detected" if any(pk.l in rows and pk.p in cols for pk in peaks) else "masked"
+                for rows, cols in _guard_boxes(surface, scenario)]
     n_det = statuses.count("detected")
     if n_det == len(statuses):
         overall = "detected"
@@ -148,21 +145,12 @@ def classify(surface: AmbiguitySurface, scenario: Scenario) -> DetectionReport:
     )
 
 
-def _guard_mask(surface: AmbiguitySurface, scenario: Scenario) -> np.ndarray:
-    guard_l, guard_p = DEFAULT_GUARD
-    mask = np.zeros(surface.values.shape, dtype=bool)
-    l_max, n = surface.l_bins, surface.n
-    for l0, p0 in true_bins(scenario):
-        rows = slice(max(0, l0 - guard_l), min(l_max, l0 + guard_l + 1))
-        for dp in range(-guard_p, guard_p + 1):
-            mask[rows, (p0 + dp) % n] = True
-    return mask
-
-
 def sidelobe_floor_db(surface: AmbiguitySurface, scenario: Scenario) -> float:
     """Largest magnitude outside every guard box, dB relative to the global
     peak; never above 0, capped at the finite floor for zero cells."""
-    mask = _guard_mask(surface, scenario)
+    mask = np.zeros(surface.values.shape, dtype=bool)
+    for rows, cols in _guard_boxes(surface, scenario):
+        mask[np.ix_(rows, cols)] = True
     if mask.all():
         raise ContractError("sidelobe_floor_db: guard regions cover the whole surface")
     mag = surface.magnitude()
@@ -173,8 +161,7 @@ def sidelobe_floor_db(surface: AmbiguitySurface, scenario: Scenario) -> float:
     return max(20.0 * np.log10(outside / gmax), DB_FLOOR_CAP)
 
 
-def surface_for_scenario(scn: Scenario, variant,
-                         conjugate_ref: bool = True) -> AmbiguitySurface:
+def surface_for_scenario(scn: Scenario, variant) -> AmbiguitySurface:
     """Build signals and compute the surface a scenario asks for.
 
     The transform input gain feeds the fully sign-additive variant only;
@@ -185,14 +172,12 @@ def surface_for_scenario(scn: Scenario, variant,
     s_ref, s_surv = build_signals(scn)
     gain = scn.transform_input_gain if variant is AmbiguityVariant.EQ12A else 1.0
     return compute_ambiguity(variant, s_surv, s_ref, scn.l_bins, scn.n,
-                             transform_input_gain=gain,
-                             conjugate_ref=conjugate_ref)
+                             transform_input_gain=gain)
 
 
-def run_scenario(scn: Scenario, variant, seed: int,
-                 conjugate_ref: bool = True) -> DetectionReport:
+def run_scenario(scn: Scenario, variant, seed: int) -> DetectionReport:
     trial = reseed_scenario(scn, seed)
-    surface = surface_for_scenario(trial, variant, conjugate_ref)
+    surface = surface_for_scenario(trial, variant)
     return replace(classify(surface, trial), seed=seed)
 
 
@@ -205,8 +190,7 @@ def _majority(outcomes: Sequence[str]) -> str:
 
 
 def run_table(rows: Sequence[tuple[str, Scenario, str]],
-              seeds: Sequence[int] = DEFAULT_SEEDS,
-              conjugate_ref: bool = True) -> list[TableRow]:
+              seeds: Sequence[int] = DEFAULT_SEEDS) -> list[TableRow]:
     """One aggregated row per (environment, scenario, variant) entry."""
     if len(seeds) < 1:
         raise ContractError("run_table: need at least one trial seed")
@@ -216,7 +200,7 @@ def run_table(rows: Sequence[tuple[str, Scenario, str]],
         reports = []
         for seed in seeds:
             trial = reseed_scenario(scn, seed)
-            surface = surface_for_scenario(trial, variant, conjugate_ref)
+            surface = surface_for_scenario(trial, variant)
             totals += surface.op_counts
             reports.append(classify(surface, trial))
         out.append(TableRow(

@@ -238,17 +238,26 @@ def synth_surveillance(scn: Scenario, s_ref: ComplexSignal) -> ComplexSignal:
         )
     i = np.arange(d)
     out = np.zeros(d, dtype=complex)
-    for ob, l in zip(scn.obstacles, delays):
-        shifted = np.zeros(d, dtype=complex)
-        shifted[l:] = ref[: d - l]
-        if ob.doppler_hz == 0.0:
-            out += ob.amplitude * shifted
-        else:
-            out += ob.amplitude * shifted * np.exp(
-                2j * np.pi * ob.doppler_hz * i / scn.fm.f_s
-            )
-    out = apply_noise(out, scn.noise)
-    return ComplexSignal(out * scn.surv_gain, scn.fm.f_s)
+    # Overflow is reported below as one error naming its key, not as warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ob, l in zip(scn.obstacles, delays):
+            shifted = np.zeros(d, dtype=complex)
+            shifted[l:] = ref[: d - l]
+            if ob.doppler_hz == 0.0:
+                out += ob.amplitude * shifted
+            else:
+                out += ob.amplitude * shifted * np.exp(
+                    2j * np.pi * ob.doppler_hz * i / scn.fm.f_s
+                )
+        out = apply_noise(out, scn.noise)
+        if not np.isfinite(out).all():
+            raise ContractError("synth_surveillance: the echoes of 'obstacles' plus the "
+                                "noise overflow the float range")
+        out = out * scn.surv_gain
+    if not np.isfinite(out).all():
+        raise ContractError(f"synth_surveillance: 'surv_gain' {scn.surv_gain!r} takes the "
+                            "surveillance signal past the float range")
+    return ComplexSignal(out, scn.fm.f_s)
 
 
 def add_awgn(x, snr_db: float, seed: int) -> np.ndarray:

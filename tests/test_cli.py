@@ -1,5 +1,6 @@
 """CLI commands: outputs, schema errors, determinism, atomicity."""
 
+import argparse
 import csv
 import io
 import json
@@ -101,6 +102,16 @@ def test_transform_svg_failure_leaves_no_files(tmp_path, capsys):
                  "--svg", "--out", out]) == 1
     assert "line_svg" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+def test_transform_input_not_utf8_fails_cleanly(tmp_path, capsys):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"re,im\n\xff\xfe1,2")
+    out = str(tmp_path / "x")
+    assert main(["transform", "--kind", "fft", "--input", str(path), "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(path) in err and "UTF-8" in err
+    assert os.listdir(tmp_path) == ["latin.csv"]
 
 
 def test_transform_svg(tmp_path):
@@ -226,10 +237,17 @@ def test_ambiguity_negative_scenario_seed_names_key(tmp_path, capsys, patch, key
     assert sorted(os.listdir(tmp_path)) == ["neg.json", "scene.json"]
 
 
+def _overflowing_gain(doc):
+    doc.update(surv_gain=1e308)
+    doc["obstacles"][0].update(amplitude_re=1e308)
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("mutate,key", [
     (lambda d: d["obstacles"][0].update(x_km=float("nan")), "obstacles[0].x_km"),
     (lambda d: d.update(l_bins=64.9), "l_bins"),
-], ids=["x_km-nan", "l_bins-fraction"])
+    (_overflowing_gain, "surv_gain"),
+], ids=["x_km-nan", "l_bins-fraction", "surv_gain-overflow"])
 def test_ambiguity_malformed_number_names_key(tmp_path, capsys, mutate, key):
     doc = json.loads(file_bytes(scene_path(tmp_path)).decode())
     mutate(doc)
@@ -270,26 +288,6 @@ def test_ambiguity_l_bins_past_reference_names_key(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "l_bins" in err and "duration_samples" in err
     assert os.listdir(tmp_path) == ["short.json"]
-
-
-def test_ambiguity_conjugate_off_flag(tmp_path):
-    scn = scene_path(tmp_path)
-    on = str(tmp_path / "on")
-    off = str(tmp_path / "off")
-    for flag, out in (("on", on), ("off", off)):
-        assert main(["ambiguity", "--scenario", scn, "--variant", "eq11",
-                     "--conjugate-ref", flag, "--out", out]) == 0
-    def range_top3(path):
-        _, rows = read_csv(path + ".range_cut.csv")
-        vals = np.array([float(r[2]) for r in rows])
-        return set(np.argsort(-vals)[:3].tolist())
-
-    # without conjugation the reference phase never cancels at the matched
-    # lag (the product of two unit phasors is another noise-like phasor),
-    # so the true-bin peaks disappear
-    assert range_top3(on) == {16, 28, 53}
-    assert range_top3(off) != {16, 28, 53}
-    assert file_bytes(on + ".surface.csv")[100:] != file_bytes(off + ".surface.csv")[100:]
 
 
 # --- table ----------------------------------------------------------------------
@@ -502,6 +500,21 @@ def test_csv_bytes_matches_row_writer_property(rows):
 
 
 # --- determinism across reruns --------------------------------------------------------
+
+def test_cli_options_pinned():
+    # Every option of every subcommand; a new flag must show up here.
+    parser = cli.build_parser()
+    subcommands = next(a for a in parser._actions
+                       if isinstance(a, argparse._SubParsersAction)).choices
+    options = {name: {o for a in sub._actions for o in a.option_strings}
+               for name, sub in subcommands.items()}
+    assert options == {
+        "transform": {"-h", "--help", "--kind", "--tone", "--n", "--input", "--out", "--svg"},
+        "ambiguity": {"-h", "--help", "--scenario", "--variant", "--seed", "--out", "--svg"},
+        "table": {"-h", "--help", "--set", "--trials", "--seeds", "--out"},
+        "opcount": {"-h", "--help", "--n-list", "--out"},
+    }
+
 
 def test_rerun_byte_identical(tmp_path):
     scn = scene_path(tmp_path, NoiseModel(
