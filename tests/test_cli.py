@@ -237,17 +237,14 @@ def test_ambiguity_negative_scenario_seed_names_key(tmp_path, capsys, patch, key
     assert sorted(os.listdir(tmp_path)) == ["neg.json", "scene.json"]
 
 
-def _overflowing_gain(doc):
-    doc.update(surv_gain=1e308)
-    doc["obstacles"][0].update(amplitude_re=1e308)
-
-
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("mutate,key", [
     (lambda d: d["obstacles"][0].update(x_km=float("nan")), "obstacles[0].x_km"),
     (lambda d: d.update(l_bins=64.9), "l_bins"),
-    (_overflowing_gain, "surv_gain"),
-], ids=["x_km-nan", "l_bins-fraction", "surv_gain-overflow"])
+    (lambda d: (d.update(surv_gain=1e308), d["obstacles"][0].update(amplitude_re=1e308)),
+     "surv_gain"),
+    (lambda d: [ob.update(amplitude_re=1e308) for ob in d["obstacles"]], "obstacles"),
+], ids=["x_km-nan", "l_bins-fraction", "surv_gain-overflow", "echo-overflow"])
 def test_ambiguity_malformed_number_names_key(tmp_path, capsys, mutate, key):
     doc = json.loads(file_bytes(scene_path(tmp_path)).decode())
     mutate(doc)
