@@ -11,6 +11,7 @@ from signadd import (
     ContractError,
     NoiseKind,
     NoiseModel,
+    OpCountReport,
     Scenario,
     Obstacle,
     StereoFmConfig,
@@ -27,6 +28,7 @@ from signadd import (
 )
 from signadd.ambiguity import SPEED_OF_LIGHT
 from signadd.detection import DB_FLOOR_CAP, default_table_rows, _majority
+from signadd.radar import reseed_scenario
 
 
 def synthetic_surface(values, fs=200_000.0, variant=AmbiguityVariant.EQ11):
@@ -363,6 +365,16 @@ def test_run_table_deterministic():
     a = run_table([("2t1c", scn, "eq12b")], seeds=[0, 1])
     b = run_table([("2t1c", scn, "eq12b")], seeds=[0, 1])
     assert a == b
+
+
+@pytest.mark.parametrize("variant", ["eq11", "eq12a", "eq12b", "eq12c"])
+def test_run_table_op_counts_sum_trial_surfaces(variant):
+    scn = two_targets_one_clutter(n=64, l_bins=64)
+    seeds = (0, 1)
+    (row,) = run_table([("2t1c", scn, variant)], seeds=seeds)
+    trials = [surface_for_scenario(reseed_scenario(scn, s), variant) for s in seeds]
+    assert row.op_counts == sum((t.op_counts for t in trials), OpCountReport())
+    assert row.op_counts != OpCountReport()
 
 
 def test_run_table_requires_seeds():

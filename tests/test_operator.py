@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+import signadd
 from signadd import (
     ContractError,
     DomainError,
@@ -18,9 +19,28 @@ from signadd import (
 
 FUZZ = 100_000
 
+# The package's exports before they were derived from each module's __all__.
+PACKAGE_EXPORTS = (
+    "AmbiguitySurface AmbiguityVariant ComplexSignal ContractError DetectionReport "
+    "DomainError NoiseKind NoiseModel Obstacle OpCountReport Peak SPEED_OF_LIGHT Scenario "
+    "Spectrum StereoFmConfig TableRow TransformKind TwiddleTable add_awgn add_contaminated "
+    "ambiguity bistatic_delay_bins build_signals classify compute_ambiguity "
+    "default_table_rows detection dft_exact doppler_bin fft_exact find_peaks gen_stereo_fm "
+    "lag_product_exact lag_product_mf load_scenario mf_complex mf_real mf_sign ndft nfft "
+    "operator peak_index radar run_scenario run_table save_scenario scalar_vector "
+    "scenario_hash sidelobe_floor_db surface_for_scenario synth_surveillance transforms "
+    "true_bins twiddle_table two_targets_one_clutter unit_tone vector_product"
+).split()
+
 
 def rng():
     return np.random.default_rng(20240817)
+
+
+def test_package_keeps_its_exports():
+    assert len(PACKAGE_EXPORTS) == 57
+    assert set(PACKAGE_EXPORTS) <= set(signadd.__all__)
+    assert all(hasattr(signadd, name) for name in signadd.__all__)
 
 
 # --- worked examples ---------------------------------------------------------
