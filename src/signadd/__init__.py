@@ -8,67 +8,11 @@ ambiguity surfaces under Gaussian and heavy-tailed noise.
 
 __version__ = "0.1.0"
 
-from .operator import (
-    ContractError,
-    DomainError,
-    OpCountReport,
-    mf_complex,
-    mf_real,
-    mf_sign,
-    scalar_vector,
-    vector_product,
-)
-from .transforms import (
-    ComplexSignal,
-    Spectrum,
-    TransformKind,
-    TwiddleTable,
-    dft_exact,
-    fft_exact,
-    ndft,
-    nfft,
-    peak_index,
-    twiddle_table,
-    unit_tone,
-)
-from .ambiguity import (
-    SPEED_OF_LIGHT,
-    AmbiguitySurface,
-    AmbiguityVariant,
-    compute_ambiguity,
-    lag_product_exact,
-    lag_product_mf,
-)
-from .radar import (
-    NoiseKind,
-    NoiseModel,
-    Obstacle,
-    Scenario,
-    StereoFmConfig,
-    add_awgn,
-    add_contaminated,
-    bistatic_delay_bins,
-    build_signals,
-    doppler_bin,
-    gen_stereo_fm,
-    load_scenario,
-    save_scenario,
-    scenario_hash,
-    synth_surveillance,
-    two_targets_one_clutter,
-    true_bins,
-)
-from .detection import (
-    DetectionReport,
-    Peak,
-    TableRow,
-    classify,
-    default_table_rows,
-    find_peaks,
-    run_scenario,
-    run_table,
-    sidelobe_floor_db,
-    surface_for_scenario,
-)
+# Each module's __all__ is its public names; the package re-exports them all.
+from .operator import *  # noqa: F401,F403
+from .transforms import *  # noqa: F401,F403
+from .ambiguity import *  # noqa: F401,F403
+from .radar import *  # noqa: F401,F403
+from .detection import *  # noqa: F401,F403
 
 __all__ = [name for name in dir() if not name.startswith("_")]

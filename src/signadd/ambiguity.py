@@ -28,18 +28,22 @@ Rows are mutually independent: given the precomputed twiddle tables,
 computing rows in any order, or in blocks of any size, yields bit-identical
 surfaces.  ``compute_ambiguity`` transforms its rows a block at a time, the
 block sized by the transforms' shared row-block budget.
+
+A surface stores only its values, variant and sample rate.  Its bin sizes
+and its op counts are derived from them; ``surface_cost`` gives the cost of
+each stage from the variant table and ``transforms.transform_cost``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .operator import ContractError, OpCountReport, _mf_complex_raw
-from .transforms import ComplexSignal, _row_blocks, fft_exact, nfft
+from .operator import ContractError, DomainError, OpCountReport, _mf_complex_raw
+from .transforms import ComplexSignal, TransformKind, _row_blocks, fft_exact, nfft, transform_cost
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -49,6 +53,7 @@ __all__ = [
     "lag_product_exact",
     "lag_product_mf",
     "compute_ambiguity",
+    "surface_cost",
 ]
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -67,16 +72,8 @@ class AmbiguitySurface:
     """L x N complex surface over (range bin l, Doppler bin p)."""
 
     values: np.ndarray
-    range_bin_m: float
-    doppler_bin_hz: float
     variant: AmbiguityVariant
     sample_rate_hz: float
-    lag_op_counts: OpCountReport = field(default_factory=OpCountReport)
-    transform_op_counts: OpCountReport = field(default_factory=OpCountReport)
-
-    @property
-    def op_counts(self) -> OpCountReport:
-        return self.lag_op_counts + self.transform_op_counts
 
     @property
     def l_bins(self) -> int:
@@ -85,6 +82,27 @@ class AmbiguitySurface:
     @property
     def n(self) -> int:
         return self.values.shape[1]
+
+    @property
+    def range_bin_m(self) -> float:
+        return SPEED_OF_LIGHT / self.sample_rate_hz
+
+    @property
+    def doppler_bin_hz(self) -> float:
+        return self.sample_rate_hz / self.n
+
+    @property
+    def lag_op_counts(self) -> OpCountReport:
+        return surface_cost(self.variant, self.l_bins, self.n)[0]
+
+    @property
+    def transform_op_counts(self) -> OpCountReport:
+        return surface_cost(self.variant, self.l_bins, self.n)[1]
+
+    @property
+    def op_counts(self) -> OpCountReport:
+        lag, transform = surface_cost(self.variant, self.l_bins, self.n)
+        return lag + transform
 
     def magnitude(self) -> np.ndarray:
         return np.abs(self.values)
@@ -165,12 +183,21 @@ _STAGES = {
 }
 
 
+def surface_cost(variant, l_bins: int, n: int) -> tuple[OpCountReport, OpCountReport]:
+    """(lag product, transform) cost of an ``l_bins`` x ``n`` surface of a variant."""
+    mf_lag, nonlinear = _STAGES[AmbiguityVariant(variant)]
+    lag = OpCountReport.complex if mf_lag else OpCountReport.complex_mul
+    kind = TransformKind.NFFT if nonlinear else TransformKind.FFT_EXACT
+    return lag(l_bins * n), transform_cost(kind, n, l_bins)
+
+
 def compute_ambiguity(variant, s_surv, s_ref, l_bins: int, n: int,
                       transform_input_gain: float = 1.0) -> AmbiguitySurface:
     """Surface of a variant given by name or enum.
 
     The input gain reaches only the nonlinear-FFT variants; for the exact
-    transform it would rescale the whole surface and change nothing.
+    transform it would rescale the whole surface and change nothing.  A gain
+    that takes the transform input past the float range fails naming it.
     """
     variant = AmbiguityVariant(variant)
     mf_lag, nonlinear = _STAGES[variant]
@@ -189,22 +216,15 @@ def compute_ambiguity(variant, s_surv, s_ref, l_bins: int, n: int,
     lag_fn = lag_product_mf if mf_lag else lag_product_exact
     transform_fn = nfft if nonlinear else fft_exact
     gain = transform_input_gain if nonlinear else 1.0
-    lag_cost = OpCountReport.complex if mf_lag else OpCountReport.complex_mul
     rows = np.empty((l_bins, n), dtype=complex)
-    transform_counts = OpCountReport()
     for block in _row_blocks(l_bins, n):
         y = lag_fn(s_surv, s_ref, block, n)
         if gain != 1.0:
-            y = gain * y
-        spectrum = transform_fn(y)
-        rows[block] = spectrum.bins
-        transform_counts += spectrum.op_counts
-    return AmbiguitySurface(
-        values=rows,
-        range_bin_m=SPEED_OF_LIGHT / fs,
-        doppler_bin_hz=fs / n,
-        variant=variant,
-        sample_rate_hz=fs,
-        lag_op_counts=lag_cost(l_bins * n),
-        transform_op_counts=transform_counts,
-    )
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    y = gain * y
+            except FloatingPointError:
+                raise DomainError(f"compute_ambiguity: 'transform_input_gain' {gain!r} takes "
+                                  "the transform input past the float range") from None
+        rows[block] = transform_fn(y).bins
+    return AmbiguitySurface(rows, variant, fs)

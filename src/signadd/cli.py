@@ -8,7 +8,7 @@ Four subcommands, all deterministic given their flags and seeds:
 * ``table``     - detection/side-lobe summary over environments x noise
   cases x variants, aggregated over trial seeds.
 * ``opcount``   - operation counts reported by each transform next to the
-  closed forms, per transform size.
+  cost model's, per transform size.
 
 Every numeric output is CSV ('.' decimal, '\\n' line ends, full round-trip
 float formatting).  Each output references a JSON manifest written next to
@@ -43,18 +43,8 @@ from .detection import DEFAULT_SEEDS, default_table_rows, run_table
 from .operator import ContractError, DomainError, OpCountReport
 from .radar import SchemaError, load_scenario, load_table_set, reseed_scenario, scenario_hash
 from .render import line_svg
-from .transforms import (
-    dft_exact,
-    dft_complex_muls,
-    fft_exact,
-    fft_complex_muls,
-    ndft,
-    ndft_complex_ops,
-    nfft,
-    nfft_butterflies,
-    nfft_complex_ops,
-    unit_tone,
-)
+from .transforms import (dft_exact, fft_exact, ndft, nfft, nfft_butterflies, transform_cost,
+                         unit_tone)
 
 __all__ = ["main"]
 
@@ -227,13 +217,8 @@ def _cmd_opcount(args) -> int:
     rows = []
     for n in args.n_list:
         tone = unit_tone(min(1, n - 1), n)
-        for kind, fn, model in (
-            ("ndft", ndft, OpCountReport.complex(ndft_complex_ops(n))),
-            ("nfft", nfft, OpCountReport.complex(nfft_complex_ops(n))),
-            ("fft", fft_exact, OpCountReport.complex_mul(fft_complex_muls(n))),
-            ("dft", dft_exact, OpCountReport.complex_mul(dft_complex_muls(n))),
-        ):
-            c = fn(tone).op_counts
+        for kind in ("ndft", "nfft", "fft", "dft"):
+            c, model = _TRANSFORMS[kind](tone).op_counts, transform_cost(kind, n)
             rows.append((
                 n, kind,
                 c.complex_mf_ops, model.complex_mf_ops,

@@ -9,19 +9,21 @@ classification and the floor are invariant under positive scaling of the
 surface.
 
 ``run_table`` repeats a scenario over a list of trial seeds (waveform and
-noise reseeded per trial) and aggregates: majority detection outcome,
-median floor.  Ties in the majority vote resolve to the worse outcome.
+noise reseeded per trial) with ``run_scenario`` and aggregates: majority
+detection outcome, median floor.  Ties in the majority vote resolve to the
+worse outcome.  A row's op counts are its trials' surface costs.
 """
 
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .ambiguity import DB_FLOOR_CAP, AmbiguitySurface, AmbiguityVariant, compute_ambiguity
+from .ambiguity import (DB_FLOOR_CAP, AmbiguitySurface, AmbiguityVariant, compute_ambiguity,
+                        surface_cost)
 from .operator import ContractError, OpCountReport
 from .radar import (NoiseKind, NoiseModel, Scenario, build_signals, reseed_scenario,
                     standard_environments, table_rows, true_bins)
@@ -79,7 +81,7 @@ class TableRow:
     sidelobe_floor_db: float
     trials: int
     seeds: tuple[int, ...]
-    op_counts: OpCountReport = field(default_factory=OpCountReport)
+    op_counts: OpCountReport
 
 
 def find_peaks(surface: AmbiguitySurface, k: int) -> list[Peak]:
@@ -196,13 +198,9 @@ def run_table(rows: Sequence[tuple[str, Scenario, str]],
         raise ContractError("run_table: need at least one trial seed")
     out = []
     for env_name, scn, variant in rows:
-        totals = OpCountReport()
-        reports = []
-        for seed in seeds:
-            trial = reseed_scenario(scn, seed)
-            surface = surface_for_scenario(trial, variant)
-            totals += surface.op_counts
-            reports.append(classify(surface, trial))
+        reports = [run_scenario(scn, variant, seed) for seed in seeds]
+        # the trials' surfaces have len(seeds) * l_bins rows in all
+        lag, transform = surface_cost(variant, len(seeds) * scn.l_bins, scn.n)
         out.append(TableRow(
             environment=env_name,
             variant=AmbiguityVariant(variant).value,
@@ -212,7 +210,7 @@ def run_table(rows: Sequence[tuple[str, Scenario, str]],
                 r.sidelobe_floor_db for r in reports)),
             trials=len(seeds),
             seeds=tuple(seeds),
-            op_counts=totals,
+            op_counts=lag + transform,
         ))
     return out
 

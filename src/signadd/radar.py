@@ -64,6 +64,7 @@ __all__ = [
 ]
 
 PILOT_HZ = 19_000.0
+_SNR_DB_LIMIT = 3000.0  # |snr_db| bound: 10**(snr_db/10) stays a positive finite float
 
 
 @dataclass(frozen=True)
@@ -121,6 +122,9 @@ class NoiseModel:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", NoiseKind(self.kind))
+        if not (-_SNR_DB_LIMIT <= self.snr_db <= _SNR_DB_LIMIT):
+            raise ContractError(f"NoiseModel: 'snr_db' {self.snr_db!r} must be within "
+                                f"[-{_SNR_DB_LIMIT:g}, {_SNR_DB_LIMIT:g}] dB")
         if not (0.0 <= self.eps <= 1.0):
             raise ContractError(f"NoiseModel: eps={self.eps} must be within [0, 1]")
         if self.sigma1 <= 0 or self.sigma2 <= 0:
@@ -477,7 +481,7 @@ def _load_json(path):
         try:
             return json.load(fh)
         except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
-            raise SchemaError(f"invalid JSON: {exc}") from exc
+            raise SchemaError(f"'{path}' is not valid JSON: {exc}") from exc
 
 
 def load_scenario(path) -> Scenario:

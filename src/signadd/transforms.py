@@ -21,14 +21,16 @@ one twiddle per output line (N per stage), so the total is
 
     2N + N*(log2(N) - 1)  ==  N*(log2(N) + 1)
 
-complex applications: Theta(N log N) with constant 1 + 1/log2(N).  Every
-transform reports its cost from these closed forms in ``Spectrum.op_counts``.
+complex applications: Theta(N log N) with constant 1 + 1/log2(N).  The
+cost model is one table, read by ``transform_cost``: per transform kind, the
+kind of operation and the closed form of one row.  ``Spectrum.op_counts`` is
+derived from it and the shape of the bins; no transform counts anything.
 
 ``fft_exact`` and ``nfft`` share one radix-2 stage loop, ``_radix2``, and
 differ only in the product each butterfly applies to its odd branch: the
 exact complex product or the sign-additive one.  Both also take a
-``(rows, N)`` array and transform each row, returning ``(rows, N)`` bins and
-``rows`` times the per-row cost.
+``(rows, N)`` array and transform each row, returning ``(rows, N)`` bins,
+which cost ``rows`` times one row.
 
 Twiddle factors are precomputed from the closed form with quadrant-exact
 values at multiples of a quarter turn.  This matters: the sign-additive
@@ -39,7 +41,7 @@ the exact zero the matrix calls for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -65,6 +67,7 @@ __all__ = [
     "ndft",
     "nfft",
     "peak_index",
+    "transform_cost",
     "ndft_complex_ops",
     "nfft_complex_ops",
     "nfft_butterflies",
@@ -107,7 +110,12 @@ class Spectrum:
 
     bins: np.ndarray
     transform_kind: TransformKind
-    op_counts: OpCountReport = field(default_factory=OpCountReport)
+
+    @property
+    def op_counts(self) -> OpCountReport:
+        """The cost of the transform of each row of ``bins``."""
+        n = self.bins.shape[-1]
+        return transform_cost(self.transform_kind, n, self.bins.size // n)
 
     def magnitude(self) -> np.ndarray:
         return np.abs(self.bins)
@@ -262,8 +270,7 @@ def dft_exact(x) -> Spectrum:
     tbl = twiddle_table(n)
     ks = np.arange(n)
     bins = np.concatenate([tbl.entries[np.outer(rows, ks) % n] @ v for rows in _row_blocks(n, n)])
-    return Spectrum(bins, TransformKind.DFT_EXACT,
-                    OpCountReport.complex_mul(dft_complex_muls(n)))
+    return Spectrum(bins, TransformKind.DFT_EXACT)
 
 
 def fft_exact(x) -> Spectrum:
@@ -278,8 +285,7 @@ def fft_exact(x) -> Spectrum:
     _require_pow2(n, "fft_exact")
     tbl = twiddle_table(n)
     w = tbl.stage_twiddles
-    return Spectrum(_radix2(v, tbl, lambda s, b: w[s] * b), TransformKind.FFT_EXACT,
-                    OpCountReport.complex_mul(v.size // n * fft_complex_muls(n)))
+    return Spectrum(_radix2(v, tbl, lambda s, b: w[s] * b), TransformKind.FFT_EXACT)
 
 
 def ndft(x) -> Spectrum:
@@ -300,8 +306,7 @@ def ndft(x) -> Spectrum:
         rr, ri = _mf_complex_raw(m.real, m.imag, v.real[None, :], v.imag[None, :])
         bins.real[rows] = np.cumsum(rr, axis=1, out=rr)[:, -1]
         bins.imag[rows] = np.cumsum(ri, axis=1, out=ri)[:, -1]
-    return Spectrum(bins, TransformKind.NDFT,
-                    OpCountReport.complex(ndft_complex_ops(n)))
+    return Spectrum(bins, TransformKind.NDFT)
 
 
 def nfft(x) -> Spectrum:
@@ -333,8 +338,7 @@ def nfft(x) -> Spectrum:
     def product(s, b):  # the bottom stage's products are the unity ones, taken up front
         return b if s == 0 else _mf_complex_factored(*parts[s], b)
 
-    return Spectrum(_radix2(_mf_complex_factored(one, one, v), tbl, product), TransformKind.NFFT,
-                    OpCountReport.complex(v.size // n * nfft_complex_ops(n)))
+    return Spectrum(_radix2(_mf_complex_factored(one, one, v), tbl, product), TransformKind.NFFT)
 
 
 def peak_index(s) -> int:
@@ -364,3 +368,19 @@ def fft_complex_muls(n: int) -> int:
 
 def dft_complex_muls(n: int) -> int:
     return n * n
+
+
+# kind -> (operation, count of one row of size N): the cost model of every transform
+_COSTS = {
+    TransformKind.DFT_EXACT: (OpCountReport.complex_mul, dft_complex_muls),
+    TransformKind.FFT_EXACT: (OpCountReport.complex_mul, fft_complex_muls),
+    TransformKind.NDFT: (OpCountReport.complex, ndft_complex_ops),
+    TransformKind.NFFT: (OpCountReport.complex, nfft_complex_ops),
+}
+
+
+def transform_cost(kind, n: int, rows: int = 1) -> OpCountReport:
+    """Cost of transforming ``rows`` rows of size ``n`` with the transform ``kind``
+    (a ``TransformKind`` or its name)."""
+    operation, per_row = _COSTS[TransformKind(kind)]
+    return operation(rows * per_row(n))

@@ -238,23 +238,29 @@ def test_ambiguity_negative_scenario_seed_names_key(tmp_path, capsys, patch, key
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("mutate,key", [
-    (lambda d: d["obstacles"][0].update(x_km=float("nan")), "obstacles[0].x_km"),
-    (lambda d: d.update(l_bins=64.9), "l_bins"),
+@pytest.mark.parametrize("mutate,key,variant", [
+    (lambda d: d["obstacles"][0].update(x_km=float("nan")), "obstacles[0].x_km", "eq11"),
+    (lambda d: d.update(l_bins=64.9), "l_bins", "eq11"),
     (lambda d: (d.update(surv_gain=1e308), d["obstacles"][0].update(amplitude_re=1e308)),
-     "surv_gain"),
-    (lambda d: [ob.update(amplitude_re=1e308) for ob in d["obstacles"]], "obstacles"),
-], ids=["x_km-nan", "l_bins-fraction", "surv_gain-overflow", "echo-overflow"])
-def test_ambiguity_malformed_number_names_key(tmp_path, capsys, mutate, key):
+     "surv_gain", "eq11"),
+    (lambda d: [ob.update(amplitude_re=1e308) for ob in d["obstacles"]], "obstacles", "eq11"),
+    (lambda d: d.update(noise={"kind": "awgn", "snr_db": -4000}), "snr_db", "eq11"),
+    (lambda d: d.update(noise={"kind": "awgn", "snr_db": 4000}), "snr_db", "eq11"),
+    (lambda d: d.update(transform_input_gain=1e306), "transform_input_gain", "eq12a"),
+    (lambda d: "", "{path}", "eq11"),  # a file that is not JSON: the key is the file
+], ids=["x_km-nan", "l_bins-fraction", "surv_gain-overflow", "echo-overflow",
+        "snr_db-underflow", "snr_db-overflow", "gain-overflow", "not-json"])
+def test_ambiguity_malformed_number_names_key(tmp_path, capsys, mutate, key, variant):
     doc = json.loads(file_bytes(scene_path(tmp_path)).decode())
-    mutate(doc)
+    text = mutate(doc)
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))  # NaN is written as the literal NaN
+    # NaN is written as the literal NaN
+    path.write_text(text if isinstance(text, str) else json.dumps(doc))
     out = str(tmp_path / "x")
-    assert main(["ambiguity", "--scenario", str(path), "--variant", "eq11",
+    assert main(["ambiguity", "--scenario", str(path), "--variant", variant,
                  "--out", out]) == 1
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and f"'{key}'" in err
+    assert err.count("\n") == 1 and f"'{key.format(path=path)}'" in err
     assert sorted(os.listdir(tmp_path)) == ["bad.json", "scene.json"]
 
 

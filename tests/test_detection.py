@@ -33,13 +33,7 @@ from signadd.radar import reseed_scenario
 
 def synthetic_surface(values, fs=200_000.0, variant=AmbiguityVariant.EQ11):
     values = np.asarray(values, dtype=complex)
-    return AmbiguitySurface(
-        values=values,
-        range_bin_m=299_792_458.0 / fs,
-        doppler_bin_hz=fs / values.shape[1],
-        variant=variant,
-        sample_rate_hz=fs,
-    )
+    return AmbiguitySurface(values=values, variant=variant, sample_rate_hz=fs)
 
 
 def eps_contaminated(seed=0):
