@@ -29,15 +29,17 @@ computing rows in any order, or in blocks of any size, yields bit-identical
 surfaces.  ``compute_ambiguity`` transforms its rows a block at a time, the
 block sized by the transforms' shared row-block budget.
 
-A surface stores only its values, variant and sample rate.  Its bin sizes
-and its op counts are derived from them; ``surface_cost`` gives the cost of
-each stage from the variant table and ``transforms.transform_cost``.
+A surface stores only its values, variant and sample rate; its magnitude is
+computed once, on first use.  Its bin sizes and its op counts are derived
+from them; ``surface_cost`` gives the cost of each stage from the variant
+table and ``transforms.transform_cost``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -104,8 +106,15 @@ class AmbiguitySurface:
         lag, transform = surface_cost(self.variant, self.l_bins, self.n)
         return lag + transform
 
+    @cached_property
+    def _magnitude(self) -> np.ndarray:
+        mag = np.abs(self.values)
+        mag.setflags(write=False)
+        return mag
+
     def magnitude(self) -> np.ndarray:
-        return np.abs(self.values)
+        """``|values|``, computed once per surface and read-only."""
+        return self._magnitude
 
     def magnitude_db(self) -> np.ndarray:
         mag = self.magnitude()

@@ -190,6 +190,8 @@ def _cmd_ambiguity(args) -> int:
 
 def _cmd_table(args) -> int:
     seeds = args.seeds if args.seeds is not None else list(DEFAULT_SEEDS)
+    if not seeds:
+        raise ContractError("table: --seeds needs at least one seed")
     if args.trials is not None:
         if args.trials < 1:
             raise ContractError("table: --trials must be >= 1")
@@ -214,6 +216,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_opcount(args) -> int:
+    if not args.n_list:
+        raise ContractError("opcount: --n-list needs at least one size")
     rows = []
     for n in args.n_list:
         tone = unit_tone(min(1, n - 1), n)

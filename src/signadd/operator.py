@@ -101,21 +101,29 @@ def _mf_complex_raw(ar, ai, br, bi):
     return rr, ri
 
 
-def _mf_complex_factored(a_sign, a_abs, b):
-    """``_mf_complex_raw(a, b)`` with ``a`` given as its factored parts.
+def _mf_complex_laid(w_parts, b):
+    """``_mf_complex_raw(w, b)`` of a complex ``b``, with ``w`` given as its parts.
 
-    ``a_sign`` and ``a_abs`` are the (real, imaginary) signs and magnitudes
-    of ``a``, which a caller applying the same ``a`` again and again computes
-    once.  The complex ``b`` is split into its signs and magnitudes once, and
-    the product is written straight into a complex array.  Each of the four
-    terms is still ``(sign(a)*sign(b)) * (|a|+|b|)``, so the parts are
-    bit-identical to ``_mf_complex_raw``.
+    ``w_parts`` are the signs ``s_wr, s_wi`` and magnitudes ``m_wr, m_wi`` of
+    ``w``'s components, each broadcasting over the float view ``(..., 2)`` of
+    ``b``; laid out over all its axes but the first, every pass is one long
+    loop.  With ``S`` and ``M`` the signs and magnitudes of ``b``'s components,
+    ``p = (s_wr*S)*(m_wr+M)`` holds ``ar (*) br`` and ``bi (*) ar``, and
+    ``q = (s_wi*S)*(m_wi+M)`` holds ``ai (*) br`` and ``ai (*) bi``.  Each term is
+    ``(sign(a)*sign(b)) * (|a|+|b|)`` up to exact commutations, so the result
+    equals ``_mf_complex_raw`` term for term, zeros of both signs included.
     """
-    (sar, sai), (mar, mai) = a_sign, a_abs
-    sbr, sbi, mbr, mbi = np.sign(b.real), np.sign(b.imag), np.abs(b.real), np.abs(b.imag)
+    s_wr, s_wi, m_wr, m_wi = w_parts
+    f = b[..., None].view(float)
+    S, M = np.sign(f), np.abs(f)
+    q, p = s_wi * S, m_wr + M
+    S *= s_wr
+    M += m_wi
+    p *= S  # (s_wr*S)*(m_wr+M)
+    q *= M  # (s_wi*S)*(m_wi+M)
     t = np.empty(b.shape, dtype=complex)
-    np.subtract((sar * sbr) * (mar + mbr), (sai * sbi) * (mai + mbi), out=t.real)
-    np.add((sai * sbr) * (mai + mbr), (sbi * sar) * (mbi + mar), out=t.imag)
+    np.subtract(p[..., 0], q[..., 1], out=t.real)
+    np.add(q[..., 0], p[..., 1], out=t.imag)
     return t
 
 

@@ -518,8 +518,9 @@ def load_table_set(path) -> list[tuple[str, Scenario, str]]:
     for key in ("environments", "noises", "variants"):
         if key not in doc:
             raise SchemaError(f"missing required key '{key}' in table set")
-        if not isinstance(doc[key], list):
-            raise SchemaError(f"key '{key}' must be a list")
+    for key in ("environments", "noises", "variants"):
+        if not isinstance(doc[key], list) or not doc[key]:
+            raise SchemaError(f"key '{key}' must be a non-empty list")
     variants = [_value(v, AmbiguityVariant, f"variants[{i}]").value
                 for i, v in enumerate(doc["variants"])]
     envs = []

@@ -51,7 +51,7 @@ from .operator import (
     ContractError,
     DomainError,
     OpCountReport,
-    _mf_complex_factored,
+    _mf_complex_laid,
     _mf_complex_raw,
 )
 
@@ -126,8 +126,8 @@ class TwiddleTable:
 
     Entries at quarter-turn multiples are exact (1, -1j, -1, 1j); the rest
     come from cos/sin of the reduced angle.  For power-of-two sizes the
-    table also caches, on first use, the bit-reversal permutation and the
-    twiddles of each radix-2 stage, with their factored parts for ``nfft``.
+    table also caches, on first use, the bit-reversal permutation and, per
+    row count of a block, each radix-2 stage's twiddles and ``nfft`` parts.
     """
 
     _QUADRANT = (
@@ -149,6 +149,7 @@ class TwiddleTable:
         self.n = n
         self.entries = entries
         self.entries.setflags(write=False)
+        self._laid = {}
 
     @cached_property
     def bit_reverse(self) -> np.ndarray:
@@ -162,32 +163,37 @@ class TwiddleTable:
         return rev
 
     @cached_property
-    def stage_twiddles(self) -> tuple:
-        """Per radix-2 stage ``s``, the twiddles ``W^(k*N/2h)``, ``k < h = 2**s``,
-        shaped ``(h, 1)`` to broadcast over the rows of ``(N, rows)`` columns."""
+    def _stages(self) -> tuple:
+        """Per radix-2 stage ``s``, the twiddles ``W^(k*N/2h)``, ``k < h = 2**s``."""
         n = self.n
-        stages = []
-        for s in range(_require_pow2(n, "radix-2 stages")):
-            h = 1 << s
-            w = self.entries[np.arange(h) * (n // (2 * h)), None]
-            w.setflags(write=False)
-            stages.append(w)
-        return tuple(stages)
+        return tuple(self.entries[np.arange(1 << s) * (n >> (s + 1))]
+                     for s in range(_require_pow2(n, "radix-2 stages")))
 
-    @cached_property
-    def nfft_stages(self) -> tuple:
-        """``(signs of w, magnitudes of w)`` of each stage's twiddles ``w``,
-        each part a (real, imaginary) pair."""
-        return tuple((_frozen_parts(np.sign, w), _frozen_parts(np.abs, w))
-                     for w in self.stage_twiddles)
+    def _by_rows(self, key, make) -> tuple:
+        """``make(w)`` of each stage's twiddles ``w``, cached under ``key``."""
+        laid = self._laid.get(key)
+        if laid is None:
+            laid = self._laid[key] = tuple(make(w) for w in self._stages)
+        return laid
+
+    def stage_twiddles(self, rows: int) -> tuple:
+        """Per radix-2 stage, its twiddles laid out ``(h, rows)`` over the
+        columns of an ``(N, rows)`` block."""
+        return self._by_rows(("fft", rows), lambda w: _laid_out(w, rows))
+
+    def nfft_stages(self, rows: int) -> tuple:
+        """Per radix-2 stage, the signs and the magnitudes of the real and the
+        imaginary part of its twiddles, ``(s_wr, s_wi, m_wr, m_wi)``, each laid
+        out ``(h, rows, 2)`` over the float view of an ``(N, rows)`` block."""
+        return self._by_rows(("nfft", rows), lambda w: tuple(
+            _laid_out(fn(part), rows, 2) for fn in (np.sign, np.abs) for part in (w.real, w.imag)))
 
 
-def _frozen_parts(fn, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``fn`` of the real and of the imaginary part of ``z``, read-only."""
-    parts = fn(z.real), fn(z.imag)
-    for part in parts:
-        part.setflags(write=False)
-    return parts
+def _laid_out(w: np.ndarray, *shape) -> np.ndarray:
+    """``w`` repeated over ``shape``: ``(w.size, *shape)``, contiguous and read-only."""
+    out = np.broadcast_to(w.reshape(-1, *(1 for _ in shape)), (w.size, *shape)).copy()
+    out.setflags(write=False)
+    return out
 
 
 _TABLE_CACHE: dict[int, TwiddleTable] = {}
@@ -284,7 +290,7 @@ def fft_exact(x) -> Spectrum:
     n = v.shape[-1]
     _require_pow2(n, "fft_exact")
     tbl = twiddle_table(n)
-    w = tbl.stage_twiddles
+    w = tbl.stage_twiddles(v.size // n)
     return Spectrum(_radix2(v, tbl, lambda s, b: w[s] * b), TransformKind.FFT_EXACT)
 
 
@@ -322,23 +328,25 @@ def nfft(x) -> Spectrum:
     evaluated as ``a - t``: ``(-W) (*) b`` is ``-(W (*) b)`` but for the sign
     of a zero, and the even branch ``a`` is never ``-0.0`` (DECISIONS.md 9).
 
-    Takes one sequence or a ``(rows, N)`` array of them.  Each stage takes
-    the signs and magnitudes of its odd branch once; the twiddle parts are
-    cached on the table (:attr:`TwiddleTable.nfft_stages`).  Every real term
-    is still ``(sign(a)*sign(b)) * (|a|+|b|)``, so the bins are bit-identical
-    to the pairwise evaluation of ``tests/oracles.py::nfft_recursive``.
+    Takes one sequence or a ``(rows, N)`` array of them.  The unity product is
+    ``sign(f) * (1 + |f|)`` on the float view ``f`` of the input (DECISIONS.md
+    13); each later stage takes the signs and magnitudes of its odd branch
+    once (:meth:`TwiddleTable.nfft_stages`).  Every real term is still
+    ``(sign(a)*sign(b)) * (|a|+|b|)``, so the bins are bit-identical to the
+    pairwise evaluation of ``tests/oracles.py::nfft_recursive``.
     """
     v = _as_samples(x, max_ndim=2)
     n = v.shape[-1]
     _require_pow2(n, "nfft")
     tbl = twiddle_table(n)
-    parts = tbl.nfft_stages
-    one = (1.0, 0.0)  # the signs and the magnitudes of W^0
+    parts = tbl.nfft_stages(v.size // n)
+    f = np.ascontiguousarray(v).view(float)
+    unity = (np.sign(f) * (1.0 + np.abs(f))).view(complex)
 
     def product(s, b):  # the bottom stage's products are the unity ones, taken up front
-        return b if s == 0 else _mf_complex_factored(*parts[s], b)
+        return b if s == 0 else _mf_complex_laid(parts[s], b)
 
-    return Spectrum(_radix2(_mf_complex_factored(one, one, v), tbl, product), TransformKind.NFFT)
+    return Spectrum(_radix2(unity, tbl, product), TransformKind.NFFT)
 
 
 def peak_index(s) -> int:

@@ -230,6 +230,17 @@ def test_metadata_bin_scales():
     assert surface.sample_rate_hz == FS
 
 
+def test_magnitude_computed_once_read_only():
+    g = rng()
+    surface = compute_ambiguity("eq12a", signal(unit_noiselike(g, 64)),
+                                signal(unit_noiselike(g, 64)), 4, 64)
+    mag = surface.magnitude()
+    assert mag is surface.magnitude() and not mag.flags.writeable
+    assert mag.tobytes() == np.abs(surface.values).tobytes()
+    with pytest.raises(ValueError):
+        mag[0, 0] = 0.0
+
+
 def test_rows_independent_of_order():
     g = rng()
     surv = signal(g.standard_normal(64) + 1j * g.standard_normal(64))

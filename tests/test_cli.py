@@ -392,9 +392,13 @@ def test_table_bad_set_file(tmp_path, capsys):
     ({"environments": [{"name": "e", "nmae": "typo", "scenario": {}}]},
      "environments[0].nmae"),
     ({"environments": [{"name": {"a": 1}, "scenario": {}}]}, "environments[0].name"),
+    ({"variants": []}, "variants"),
+    ({"environments": []}, "environments"),
+    ({"noises": []}, "noises"),
 ], ids=["noise-key-typo", "awgn-without-snr", "unknown-noise-kind", "unknown-variant",
         "noises-not-a-list", "environment-without-scenario", "scenario-key-path",
-        "unknown-top-level-key", "unknown-environment-key", "non-string-name"])
+        "unknown-top-level-key", "unknown-environment-key", "non-string-name",
+        "empty-variants", "empty-environments", "empty-noises"])
 def test_table_set_schema_errors_name_key(tmp_path, capsys, patch, key):
     scn_doc = json.loads(file_bytes(scene_path(tmp_path)).decode())
     table_set = {
@@ -437,6 +441,18 @@ def test_bad_int_list_names_flag(tmp_path, capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(tmp_path / "o")])
     assert exc.value.code == 2 and message in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["table", "--seeds", ""], "--seeds"),
+    (["opcount", "--n-list", ""], "--n-list"),
+    (["opcount", "--n-list", " , "], "--n-list"),
+], ids=["seeds", "n-list", "n-list-blank-entries"])
+def test_empty_int_list_names_flag(tmp_path, capsys, argv, flag):
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and flag in err
     assert os.listdir(tmp_path) == []
 
 
