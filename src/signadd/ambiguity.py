@@ -24,15 +24,10 @@ before the transform.  The sign-additive product is only jointly
 homogeneous, so this gain is a real parameter of the processing, not a
 cosmetic scale.
 
-Rows are mutually independent: given the precomputed twiddle tables,
-computing rows in any order, or in blocks of any size, yields bit-identical
-surfaces.  ``compute_ambiguity`` transforms its rows a block at a time, the
-block sized by the transforms' shared row-block budget.
-
-A surface stores only its values, variant and sample rate; its magnitude is
-computed once, on first use.  Its bin sizes and its op counts are derived
-from them; ``surface_cost`` gives the cost of each stage from the variant
-table and ``transforms.transform_cost``.
+Rows are mutually independent, so ``compute_ambiguity`` transforms them in
+blocks of any size with bit-identical results.  A surface stores only its
+values, variant and sample rate; its magnitude is computed once, and its
+bin sizes and op counts (``surface_cost``) are derived from them.
 """
 
 from __future__ import annotations
@@ -116,24 +111,29 @@ class AmbiguitySurface:
         """``|values|``, computed once per surface and read-only."""
         return self._magnitude
 
-    def magnitude_db(self) -> np.ndarray:
-        mag = self.magnitude()
-        peak = mag.max()
+    def _db(self, mag: np.ndarray) -> np.ndarray:
+        """Magnitudes in dB relative to the surface's peak, clamped at ``DB_FLOOR_CAP``."""
+        peak = self.magnitude().max()
         if peak <= 0.0:
             return np.full(mag.shape, DB_FLOOR_CAP)
         with np.errstate(divide="ignore"):
             db = 20.0 * np.log10(mag / peak)
         return np.maximum(db, DB_FLOOR_CAP)
 
+    def magnitude_db(self) -> np.ndarray:
+        return self._db(self.magnitude())
+
     def range_cut(self):
         """Per range bin: (bistatic range km, max magnitude over Doppler, dB)."""
-        db = self.magnitude_db().max(axis=1)
+        # The dB map is monotone, so the dB of the maxima is the maximum of
+        # the dB surface, without computing it (DECISIONS.md 14).
+        db = self._db(self.magnitude().max(axis=1))
         ls = np.arange(self.l_bins)
         return ls, ls * self.range_bin_m / 1000.0, db
 
     def doppler_cut(self):
         """Per Doppler bin on the centered axis (-fs/2, fs/2]: max over range."""
-        db = self.magnitude_db().max(axis=0)
+        db = self._db(self.magnitude().max(axis=0))
         n = self.n
         p = np.arange(n)
         freq = np.where(p <= n // 2, p, p - n) * self.doppler_bin_hz
@@ -212,14 +212,11 @@ def compute_ambiguity(variant, s_surv, s_ref, l_bins: int, n: int,
     mf_lag, nonlinear = _STAGES[variant]
     if l_bins < 1:
         raise ContractError("l_bins must be >= 1")
-    fs = None
-    for sig in (s_surv, s_ref):
-        if isinstance(sig, ComplexSignal):
-            if fs is not None and sig.sample_rate_hz != fs:
-                raise ContractError("surveillance and reference sample rates differ")
-            fs = sig.sample_rate_hz
-    if fs is None:
-        raise ContractError("at least one input must be a ComplexSignal carrying a sample rate")
+    rates = {sig.sample_rate_hz for sig in (s_surv, s_ref) if isinstance(sig, ComplexSignal)}
+    if len(rates) != 1:
+        raise ContractError("surveillance and reference sample rates differ" if rates else
+                            "at least one input must be a ComplexSignal carrying a sample rate")
+    (fs,) = rates
     # The kernels are looked up by module name at call time, so a wrapper
     # installed on that name sees every call.
     lag_fn = lag_product_mf if mf_lag else lag_product_exact

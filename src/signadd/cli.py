@@ -25,6 +25,7 @@ with a message naming the key.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import hashlib
 import io
@@ -76,13 +77,33 @@ def _write_outputs(prefix: str, files: dict, manifest: bytes) -> None:
 _CSV_SLICE_ROWS = 4096  # rows formatted at a time, bounding the strings held
 
 
+def _index_strings(col: np.ndarray) -> np.ndarray | None:
+    """``str(i)`` for ``i`` in ``0..col.max()`` as an object array, when ``col``
+    holds integers in ``0..len(col)-1`` (a bin index column); else None."""
+    if col.dtype.kind not in "iu" or col.size == 0 or col.min() < 0 or col.max() >= col.size:
+        return None
+    return np.array([str(i) for i in range(int(col.max()) + 1)], dtype=object)
+
+
 def _csv_bytes(header: list[str], columns: list, manifest_name: str) -> bytes:
-    """CSV of equal-length columns, floats as ``repr``, the rest as ``str``, unquoted."""
+    """CSV of equal-length columns, floats as ``repr``, the rest as ``str``, unquoted.
+
+    A bin index column takes its cells from one table of strings; each slice
+    of rows is one join over its cells interleaved with their separators.
+    """
+    columns = [np.asarray(col) for col in columns]
+    tables = [_index_strings(col) for col in columns]
+    stride = 2 * len(columns)  # a row is its cells, each followed by ',' or '\n'
     parts = [f"# manifest={manifest_name}\n", ",".join(header), "\n"]
     for r0 in range(0, len(columns[0]), _CSV_SLICE_ROWS):
-        cols = [np.asarray(col[r0 : r0 + _CSV_SLICE_ROWS]) for col in columns]
-        cells = [list(map(repr if c.dtype.kind == "f" else str, c.tolist())) for c in cols]
-        parts += ["\n".join(map(",".join, zip(*cells))), "\n"]
+        cols = [col[r0 : r0 + _CSV_SLICE_ROWS] for col in columns]
+        cells = [","] * (stride * len(cols[0]))
+        cells[stride - 1 :: stride] = ["\n"] * len(cols[0])
+        for j, (c, table) in enumerate(zip(cols, tables)):
+            cells[2 * j :: stride] = (
+                table[c].tolist() if table is not None
+                else list(map(repr if c.dtype.kind == "f" else str, c.tolist())))
+        parts.append("".join(cells))
     return "".join(parts).encode()
 
 
@@ -107,15 +128,21 @@ def _manifest(prefix: str, command: str, args_desc: dict,
 def _read_signal_csv(path: str) -> np.ndarray:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+            reader = csv.reader(fh)
+            rows = [(reader.line_num, r) for r in reader if r and not r[0].startswith("#")]
     except UnicodeDecodeError as exc:
         raise SchemaError(f"signal file {path} is not UTF-8 text ({exc})") from exc
-    if not rows or [c.strip() for c in rows[0][:2]] != ["re", "im"]:
+    if not rows or [c.strip() for c in rows[0][1][:2]] != ["re", "im"]:
         raise SchemaError(f"signal file {path} must have a 're,im' header row")
-    try:
-        vals = [complex(float(r[0]), float(r[1])) for r in rows[1:]]
-    except (ValueError, IndexError) as exc:
-        raise SchemaError(f"signal file {path}: bad sample row ({exc})") from exc
+    vals = []
+    for line, r in rows[1:]:
+        try:
+            vals.append(complex(float(r[0]), float(r[1])))
+        except (ValueError, IndexError) as exc:
+            raise SchemaError(f"signal file {path} line {line}: bad sample row ({exc})") from exc
+        if not cmath.isfinite(vals[-1]):
+            raise SchemaError(f"signal file {path} line {line}: sample "
+                              f"{','.join(r[:2])!r} is not finite")
     if not vals:
         raise SchemaError(f"signal file {path} has no samples")
     return np.asarray(vals, dtype=complex)
@@ -124,6 +151,8 @@ def _read_signal_csv(path: str) -> np.ndarray:
 def _cmd_transform(args) -> int:
     if (args.tone is None) == (args.input is None):
         raise ContractError("transform: give exactly one of --tone or --input")
+    if args.n is not None and args.n < 1:
+        raise ContractError(f"transform: --n must be >= 1, got {args.n}")
     if args.tone is not None:
         if args.n is None:
             raise ContractError("transform: --tone requires --n")
@@ -215,34 +244,27 @@ def _cmd_table(args) -> int:
     return 0
 
 
+_OPS = ("complex_mf", "sign", "abs", "add", "complex_mul")  # OpCountReport "<op>_ops" fields
+
+
 def _cmd_opcount(args) -> int:
     if not args.n_list:
         raise ContractError("opcount: --n-list needs at least one size")
+    if min(args.n_list) < 1:
+        raise ContractError(f"opcount: --n-list sizes must be >= 1, got {min(args.n_list)}")
     rows = []
     for n in args.n_list:
         tone = unit_tone(min(1, n - 1), n)
         for kind in ("ndft", "nfft", "fft", "dft"):
             c, model = _TRANSFORMS[kind](tone).op_counts, transform_cost(kind, n)
-            rows.append((
-                n, kind,
-                c.complex_mf_ops, model.complex_mf_ops,
-                c.sign_ops, model.sign_ops,
-                c.abs_ops, model.abs_ops,
-                c.add_ops, model.add_ops,
-                c.complex_mul_ops, model.complex_mul_ops,
-                "yes" if c == model else "no",
-            ))
+            rows.append((n, kind, *(getattr(r, f"{op}_ops") for op in _OPS for r in (c, model)),
+                         "yes" if c == model else "no"))
     name, manifest = _manifest(args.out, "opcount", {"n_list": args.n_list})
     # The "measured" columns hold the counts each transform reports.
-    _write_outputs(args.out, {".opcount.csv": _csv_bytes(
-        ["n", "transform",
-         "complex_mf_measured", "complex_mf_analytic",
-         "sign_measured", "sign_analytic",
-         "abs_measured", "abs_analytic",
-         "add_measured", "add_analytic",
-         "complex_mul_measured", "complex_mul_analytic",
-         "matches"],
-        list(zip(*rows)), name)}, manifest)
+    header = ["n", "transform", *(f"{op}_{side}" for op in _OPS
+                                  for side in ("measured", "analytic")), "matches"]
+    _write_outputs(args.out, {".opcount.csv": _csv_bytes(header, list(zip(*rows)), name)},
+                   manifest)
     print(f"butterfly counts: " + ", ".join(
         f"N={n}: {nfft_butterflies(n)}" for n in args.n_list))
     return 0

@@ -17,6 +17,7 @@ worse outcome.  A row's op counts are its trials' surface costs.
 from __future__ import annotations
 
 import statistics
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -46,6 +47,7 @@ __all__ = [
 
 DEFAULT_GUARD = (2, 2)  # (range, Doppler) half-widths of every guard box
 DEFAULT_SEEDS = tuple(range(10))
+_NEIGHBOURS = [(dl, dp) for dl in (-1, 0, 1) for dp in (-1, 0, 1) if dl or dp]
 
 _OUTCOME_ORDER = {"no detection": 0, "partial": 1, "detected": 2}
 
@@ -84,6 +86,23 @@ class TableRow:
     op_counts: OpCountReport
 
 
+def _strict_maxima(mag: np.ndarray, cut: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major (rows, columns) of the cells at or above ``cut`` that are
+    strictly greater than each of their neighbours inside the grid."""
+    flat = mag.ravel()
+    idx = np.flatnonzero(flat >= cut)
+    ls, ps = np.divmod(idx, mag.shape[1])
+    vals = flat[idx]
+    inside_l = {-1: ls > 0, 0: True, 1: ls < mag.shape[0] - 1}
+    inside_p = {-1: ps > 0, 0: True, 1: ps < mag.shape[1] - 1}
+    strict = np.ones(idx.size, dtype=bool)
+    for dl, dp in _NEIGHBOURS:
+        # beyond the edge the clipped index reads some other cell, which does not block
+        neighbour = flat.take(idx + dl * mag.shape[1] + dp, mode="clip")
+        strict &= (vals > neighbour) | ~(inside_l[dl] & inside_p[dp])
+    return ls[strict], ps[strict]
+
+
 def find_peaks(surface: AmbiguitySurface, k: int) -> list[Peak]:
     """Top-k local maxima of the surface magnitude, strongest first.
 
@@ -95,16 +114,16 @@ def find_peaks(surface: AmbiguitySurface, k: int) -> list[Peak]:
     if k < 1:
         raise ContractError("find_peaks: k must be >= 1")
     mag = surface.magnitude()
-    padded = np.full((mag.shape[0] + 2, mag.shape[1] + 2), -np.inf)
-    padded[1:-1, 1:-1] = mag
-    strict = np.ones(mag.shape, dtype=bool)
-    for dl in (-1, 0, 1):
-        for dp in (-1, 0, 1):
-            if dl == 0 and dp == 0:
-                continue
-            strict &= mag > padded[1 + dl : 1 + dl + mag.shape[0],
-                                   1 + dp : 1 + dp + mag.shape[1]]
-    ls, ps = np.nonzero(strict)
+    flat = mag.ravel()
+    # Every strict maximum at or above the cut is found, so once k of them
+    # are, the top k and every tie at the k-th value are among them.
+    m = 64 * k
+    while True:
+        cut = -np.inf if m >= flat.size else np.partition(flat, flat.size - m)[flat.size - m]
+        ls, ps = _strict_maxima(mag, cut)
+        if ls.size >= k or m >= flat.size:
+            break
+        m *= 8
     vals = mag[ls, ps]
     if k < vals.size:
         # Only maxima at or above the k-th largest can make the list; the
@@ -130,15 +149,9 @@ def classify(surface: AmbiguitySurface, scenario: Scenario) -> DetectionReport:
     statuses = ["detected" if any(pk.l in rows and pk.p in cols for pk in peaks) else "masked"
                 for rows, cols in _guard_boxes(surface, scenario)]
     n_det = statuses.count("detected")
-    if n_det == len(statuses):
-        overall = "detected"
-    elif n_det == 0:
-        overall = "no detection"
-    else:
-        overall = "partial"
     return DetectionReport(
         statuses=tuple(statuses),
-        overall=overall,
+        overall="detected" if n_det == len(statuses) else "partial" if n_det else "no detection",
         sidelobe_floor_db=sidelobe_floor_db(surface, scenario),
         variant=surface.variant,
         noise=scenario.noise.label(),
@@ -184,9 +197,7 @@ def run_scenario(scn: Scenario, variant, seed: int) -> DetectionReport:
 
 
 def _majority(outcomes: Sequence[str]) -> str:
-    counts = {}
-    for o in outcomes:
-        counts[o] = counts.get(o, 0) + 1
+    counts = Counter(outcomes)
     # highest count wins; ties resolve to the worse outcome
     return min(counts, key=lambda o: (-counts[o], _OUTCOME_ORDER[o]))
 

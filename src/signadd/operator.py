@@ -20,7 +20,7 @@ meaningless and would silently corrupt anything built on top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -70,13 +70,7 @@ class OpCountReport:
         return cls(complex_mul_ops=n)
 
     def __add__(self, other: "OpCountReport") -> "OpCountReport":
-        return OpCountReport(
-            self.sign_ops + other.sign_ops,
-            self.abs_ops + other.abs_ops,
-            self.add_ops + other.add_ops,
-            self.complex_mf_ops + other.complex_mf_ops,
-            self.complex_mul_ops + other.complex_mul_ops,
-        )
+        return OpCountReport(*(a + b for a, b in zip(astuple(self), astuple(other))))
 
 
 def _require_finite(name: str, *values) -> None:
@@ -105,13 +99,9 @@ def _mf_complex_laid(w_parts, b):
     """``_mf_complex_raw(w, b)`` of a complex ``b``, with ``w`` given as its parts.
 
     ``w_parts`` are the signs ``s_wr, s_wi`` and magnitudes ``m_wr, m_wi`` of
-    ``w``'s components, each broadcasting over the float view ``(..., 2)`` of
-    ``b``; laid out over all its axes but the first, every pass is one long
-    loop.  With ``S`` and ``M`` the signs and magnitudes of ``b``'s components,
-    ``p = (s_wr*S)*(m_wr+M)`` holds ``ar (*) br`` and ``bi (*) ar``, and
-    ``q = (s_wi*S)*(m_wi+M)`` holds ``ai (*) br`` and ``ai (*) bi``.  Each term is
-    ``(sign(a)*sign(b)) * (|a|+|b|)`` up to exact commutations, so the result
-    equals ``_mf_complex_raw`` term for term, zeros of both signs included.
+    ``w``'s components, each laid out over the float view ``(..., 2)`` of ``b``.
+    The result equals ``_mf_complex_raw`` term for term, zeros of both signs
+    included, up to exact commutations (DECISIONS.md 13).
     """
     s_wr, s_wi, m_wr, m_wi = w_parts
     f = b[..., None].view(float)
@@ -134,9 +124,7 @@ def mf_sign(a, b):
     """
     _require_finite("mf_sign", a, b)
     s = _sign_product(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    if s.ndim == 0:
-        return int(s)
-    return s.astype(int)
+    return int(s) if s.ndim == 0 else s.astype(int)
 
 
 def mf_real(a, b):
@@ -145,9 +133,7 @@ def mf_real(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     out = _mf_real_raw(a, b)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 def mf_complex(a, b):
@@ -163,9 +149,7 @@ def mf_complex(a, b):
     _require_finite("mf_complex", a.real, a.imag, b.real, b.imag)
     rr, ri = _mf_complex_raw(a.real, a.imag, b.real, b.imag)
     out = rr + 1j * ri
-    if out.ndim == 0:
-        return complex(out)
-    return out
+    return complex(out) if out.ndim == 0 else out
 
 
 def vector_product(x, y) -> float:

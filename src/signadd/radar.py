@@ -318,11 +318,9 @@ def reseed_scenario(scn: Scenario, seed: int) -> Scenario:
 
 # --- JSON scenario schema ---------------------------------------------------
 #
-# One table per JSON object; each row is (key, attribute, type, default).
-# A default of _REQUIRED makes the key mandatory; None leaves an absent key
-# to the caller.  The parser and scenario_to_dict both read these tables.
-# Only the tx_km/rx_km pairs, the obstacle list, the amplitude parts, the
-# noise keys each kind requires and the n + l_bins duration are code.
+# One table per JSON object, read by the parser and scenario_to_dict; each
+# row is (key, attribute, type, default).  A default of _REQUIRED makes the
+# key mandatory; None leaves an absent key to the caller.
 
 _REQUIRED = object()
 

@@ -15,8 +15,13 @@ _W, _H = 720, 400
 _ML, _MR, _MT, _MB = 70, 20, 40, 50
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.6g}"
+def _text(x, y, anchor: str, size: int, body: str, extra: str = "") -> str:
+    return (f'<text x="{x}" y="{y}" text-anchor="{anchor}" font-family="sans-serif" '
+            f'font-size="{size}"{extra}>{body}</text>')
+
+
+def _line(x1, y1, x2, y2) -> str:
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="black" stroke-width="1"/>'
 
 
 def line_svg(x, y, title: str, xlabel: str, ylabel: str,
@@ -46,30 +51,17 @@ def line_svg(x, y, title: str, xlabel: str, ylabel: str,
         parts.append(f"<!-- manifest={manifest_name} -->")
     parts += [
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W // 2}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{title}</text>',
-        # axes
-        f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_H - _MB}" '
-        f'stroke="black" stroke-width="1"/>',
-        f'<line x1="{_ML}" y1="{_H - _MB}" x2="{_W - _MR}" y2="{_H - _MB}" '
-        f'stroke="black" stroke-width="1"/>',
-        # range labels
-        f'<text x="{_ML}" y="{_H - _MB + 18}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="11">{_fmt(x0)}</text>',
-        f'<text x="{_W - _MR}" y="{_H - _MB + 18}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="11">{_fmt(x1)}</text>',
-        f'<text x="{_ML - 8}" y="{_H - _MB}" text-anchor="end" '
-        f'font-family="sans-serif" font-size="11">{_fmt(y0)}</text>',
-        f'<text x="{_ML - 8}" y="{_MT + 4}" text-anchor="end" '
-        f'font-family="sans-serif" font-size="11">{_fmt(y1)}</text>',
-        # axis titles
-        f'<text x="{_ML + pw // 2}" y="{_H - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{xlabel}</text>',
-        f'<text x="16" y="{_MT + ph // 2}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 16 {_MT + ph // 2})">{ylabel}</text>',
-        f'<polyline points="{points}" fill="none" stroke="#1f6fb2" '
-        f'stroke-width="1.2"/>',
+        _text(_W // 2, 24, "middle", 15, title),
+        _line(_ML, _MT, _ML, _H - _MB),  # axes
+        _line(_ML, _H - _MB, _W - _MR, _H - _MB),
+        _text(_ML, _H - _MB + 18, "middle", 11, f"{x0:.6g}"),  # range labels
+        _text(_W - _MR, _H - _MB + 18, "middle", 11, f"{x1:.6g}"),
+        _text(_ML - 8, _H - _MB, "end", 11, f"{y0:.6g}"),
+        _text(_ML - 8, _MT + 4, "end", 11, f"{y1:.6g}"),
+        _text(_ML + pw // 2, _H - 12, "middle", 12, xlabel),  # axis titles
+        _text(16, _MT + ph // 2, "middle", 12, ylabel,
+              f' transform="rotate(-90 16 {_MT + ph // 2})"'),
+        f'<polyline points="{points}" fill="none" stroke="#1f6fb2" stroke-width="1.2"/>',
         "</svg>",
     ]
     return "\n".join(parts) + "\n"

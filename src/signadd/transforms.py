@@ -16,21 +16,13 @@ Four transforms share one interface:
   at N = 2.
 
 Cost model for the nonlinear FFT: the bottom stage applies the complete
-2x2 matrix (4 applications per pair, 2N total), every later stage applies
-one twiddle per output line (N per stage), so the total is
+2x2 matrix (2N applications), every later stage one twiddle per output line
+(N per stage): N*(log2(N) + 1) complex applications in all.  The cost model
+is one table, read by ``transform_cost``; ``Spectrum.op_counts`` derives
+from it and the shape of the bins, and no transform counts anything.
 
-    2N + N*(log2(N) - 1)  ==  N*(log2(N) + 1)
-
-complex applications: Theta(N log N) with constant 1 + 1/log2(N).  The
-cost model is one table, read by ``transform_cost``: per transform kind, the
-kind of operation and the closed form of one row.  ``Spectrum.op_counts`` is
-derived from it and the shape of the bins; no transform counts anything.
-
-``fft_exact`` and ``nfft`` share one radix-2 stage loop, ``_radix2``, and
-differ only in the product each butterfly applies to its odd branch: the
-exact complex product or the sign-additive one.  Both also take a
-``(rows, N)`` array and transform each row, returning ``(rows, N)`` bins,
-which cost ``rows`` times one row.
+``fft_exact`` and ``nfft`` share one radix-2 stage loop, ``_radix2``; both
+also transform each row of a ``(rows, N)`` array.
 
 Twiddle factors are precomputed from the closed form with quadrant-exact
 values at multiples of a quarter turn.  This matters: the sign-additive
@@ -318,22 +310,14 @@ def ndft(x) -> Spectrum:
 def nfft(x) -> Spectrum:
     """Nonlinear FFT: decimation-in-time flow graph, all twiddles sign-additive.
 
-    Bottom stage: each input pair goes through the full 2-point nonlinear
-    DFT (the two unity entries and the -1 entry all applied).  The unity
-    product of every sample is taken once, up front, and the bottom stage
-    adds and subtracts the products of a pair: the -1 entry's product is the
-    exact negation of the unity one.  Later stages: each output line applies
-    its own twiddle to the odd branch, the second half the exact negation of
-    the first-half twiddle (W^(k+N/2) == -W^k holds exactly), which is
-    evaluated as ``a - t``: ``(-W) (*) b`` is ``-(W (*) b)`` but for the sign
-    of a zero, and the even branch ``a`` is never ``-0.0`` (DECISIONS.md 9).
-
-    Takes one sequence or a ``(rows, N)`` array of them.  The unity product is
-    ``sign(f) * (1 + |f|)`` on the float view ``f`` of the input (DECISIONS.md
-    13); each later stage takes the signs and magnitudes of its odd branch
-    once (:meth:`TwiddleTable.nfft_stages`).  Every real term is still
-    ``(sign(a)*sign(b)) * (|a|+|b|)``, so the bins are bit-identical to the
-    pairwise evaluation of ``tests/oracles.py::nfft_recursive``.
+    The bottom stage applies the full 2-point nonlinear DFT to each input
+    pair: the unity product of every sample, ``sign(f) * (1 + |f|)`` on the
+    float view ``f`` of the input, is taken once, up front, and the -1
+    entry's product is its exact negation.  Each later stage applies its
+    twiddle to the odd branch and writes ``a + t`` and ``a - t``, as
+    W^(k+N/2) == -W^k (DECISIONS.md 9 and 13).  Takes one sequence or a
+    ``(rows, N)`` array of them; the bins equal the pairwise evaluation of
+    ``tests/oracles.py::nfft_recursive`` byte for byte.
     """
     v = _as_samples(x, max_ndim=2)
     n = v.shape[-1]

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signadd import NoiseKind, NoiseModel, cli, save_scenario, two_targets_one_clutter
+from signadd import (AmbiguitySurface, NoiseKind, NoiseModel, cli, save_scenario,
+                     two_targets_one_clutter)
 from signadd.cli import main
 from signadd.radar import load_table_set
 
@@ -144,6 +145,30 @@ def test_ambiguity_outputs(tmp_path):
     assert manifest["command"] == "ambiguity"
     assert manifest["op_counts"]["complex_mul_ops"] == 0
     assert os.path.exists(out + ".range_cut.svg")
+
+
+@pytest.mark.parametrize("variant", ["eq11", "eq12a", "eq12b", "eq12c"])
+def test_ambiguity_cuts_without_second_db_surface(tmp_path, variant):
+    # The cuts are the dB of the magnitude's row and column maxima; they equal
+    # the maxima of the dB surface, which the command computes once.
+    real = AmbiguitySurface.magnitude_db
+    surfaces = []
+
+    def counting(self):
+        surfaces.append(self)
+        return real(self)
+
+    scn = scene_path(tmp_path, NoiseModel(kind=NoiseKind.AWGN, snr_db=3.0))
+    with mock.patch.object(AmbiguitySurface, "magnitude_db", counting):
+        assert main(["ambiguity", "--scenario", scn, "--variant", variant, "--seed", "4",
+                     "--out", str(tmp_path / "amb")]) == 0
+    assert len(surfaces) == 1
+    surface = surfaces[0]
+    db = real(surface)
+    p = np.arange(surface.n)
+    order = np.argsort(np.where(p <= surface.n // 2, p, p - surface.n), kind="stable")
+    assert surface.range_cut()[2].tobytes() == db.max(axis=1).tobytes()
+    assert surface.doppler_cut()[1].tobytes() == db.max(axis=0)[order].tobytes()
 
 
 def test_ambiguity_range_cut_peaks(tmp_path):
@@ -456,6 +481,36 @@ def test_empty_int_list_names_flag(tmp_path, capsys, argv, flag):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["transform", "--kind", "nfft", "--tone", "1", "--n", "-8"], "--n"),
+    (["transform", "--kind", "dft", "--tone", "0", "--n", "0"], "--n"),
+    (["opcount", "--n-list", "0"], "--n-list"),
+    (["opcount", "--n-list", "8,-2"], "--n-list"),
+], ids=["transform-negative", "transform-zero", "opcount-zero", "opcount-negative"])
+def test_size_below_one_names_flag(tmp_path, capsys, argv, flag):
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{flag} " in err and ">= 1" in err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("body,line,message", [
+    ("re,im\n1,nan\n2,3\n", 2, "not finite"),
+    ("re,im\n1,2\n# comment\n\n2,-inf\n", 5, "not finite"),
+    ("re,im\n1e999,0\n", 2, "not finite"),
+    ("re,im\n1,2\n3\n", 3, "bad sample row"),
+    ("re,im\n1,2\n3,x\n", 3, "bad sample row"),
+], ids=["nan", "inf-after-comment", "overflow", "one-column", "not-a-number"])
+def test_transform_input_bad_sample_names_line(tmp_path, capsys, body, line, message):
+    path = tmp_path / "sig.csv"
+    path.write_text(body)
+    assert main(["transform", "--kind", "fft", "--input", str(path),
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{path} line {line}:" in err and message in err
+    assert os.listdir(tmp_path) == ["sig.csv"]
+
+
 @pytest.mark.parametrize("command,seed", [("table", -1), ("ambiguity", -3)])
 def test_negative_trial_seed_fails_cleanly(tmp_path, capsys, command, seed):
     out = str(tmp_path / "o")
@@ -516,6 +571,53 @@ def test_csv_bytes_matches_row_writer_property(rows):
     with mock.patch.object(cli, "_CSV_SLICE_ROWS", 5):  # several slices, the last ragged
         assert (cli._csv_bytes(["k", "a", "b"], columns, "m.json")
                 == csv_writer_bytes(["k", "a", "b"], rows, "m.json"))
+
+
+@st.composite
+def csv_columns(draw):
+    """Equal-length columns and their rows.  Bin index columns (integers in
+    0..rows-1, with repeats and at the bound) and the surface's repeat/tile
+    grid take the string tables; integers past the bound, negative or up to
+    +-2**62 and string columns take the fallback.  Zero rows are included."""
+    a, b = draw(st.integers(0, 4)), draw(st.integers(1, 5))
+    n = a * b
+    kinds = draw(st.lists(st.sampled_from(
+        ["index", "past_bound", "wide", "float", "string", "repeat", "tile"]),
+        min_size=1, max_size=5))
+    columns = []
+    for kind in kinds:
+        if kind in ("index", "past_bound") and n:
+            vals = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+            vals[draw(st.integers(0, n - 1))] = n - 1 if kind == "index" else n
+            col = np.array(vals, dtype=np.int64)
+        elif kind == "repeat":
+            col = np.repeat(np.arange(a), b)
+        elif kind == "tile":
+            col = np.tile(np.arange(b), a)
+        elif kind == "float":
+            col = np.array(draw(st.lists(CELL_FLOATS, min_size=n, max_size=n)), dtype=float)
+        elif kind == "string":
+            words = st.sampled_from(["ndft", "nfft", "fft", "dft", "yes", "no"])
+            col = np.array(draw(st.lists(words, min_size=n, max_size=n)), dtype=str)
+        else:
+            col = np.array(draw(st.lists(st.integers(-2**62, 2**62), min_size=n, max_size=n)),
+                           dtype=np.int64)
+        if kind in ("index", "repeat", "tile") and n:
+            assert cli._index_strings(col) is not None
+        elif kind == "past_bound":
+            assert cli._index_strings(col) is None
+        columns.append(col)
+    return columns, list(zip(*(col.tolist() for col in columns)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(csv_columns())
+def test_csv_bytes_index_tables_match_row_writer_property(case):
+    columns, rows = case
+    header = [f"c{j}" for j in range(len(columns))]
+    with mock.patch.object(cli, "_CSV_SLICE_ROWS", 5):  # several slices, the last ragged
+        assert (cli._csv_bytes(header, columns, "m.json")
+                == csv_writer_bytes(header, rows, "m.json"))
 
 
 # --- determinism across reruns --------------------------------------------------------

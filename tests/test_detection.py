@@ -1,5 +1,7 @@
 """Peak extraction, classification, side-lobe floor, table aggregation."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from signadd import (
     two_targets_one_clutter,
     true_bins,
 )
+from signadd import detection
 from signadd.ambiguity import SPEED_OF_LIGHT
 from signadd.detection import DB_FLOOR_CAP, default_table_rows, _majority
 from signadd.radar import reseed_scenario
@@ -100,6 +103,56 @@ def test_find_peaks_equals_full_stable_sort_property(seed, rows, cols, k):
     want = strict_maxima_sorted(mag)[:k]
     assert [(p.l, p.p) for p in peaks] == want
     assert [p.magnitude for p in peaks] == [mag[c] for c in want]
+
+
+def assert_peaks_equal_full_scan(mag, k):
+    peaks = find_peaks(synthetic_surface(mag), k)
+    want = strict_maxima_sorted(mag)[:k]
+    assert [(p.l, p.p) for p in peaks] == want
+    assert [p.magnitude for p in peaks] == [mag[c] for c in want]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(10, 14))
+def test_find_peaks_widens_past_top_plateau_property(seed, k, side):
+    # The 64*k strongest cells all lie on a plateau, which holds no strict
+    # maximum, so the cut widens to reach the maxima below it.
+    g = np.random.default_rng(seed)
+    mag = g.choice([0.0, 1.0, 2.0, 3.0], size=(40, 50))
+    mag[5 : 5 + side, 10 : 10 + 2 * side] = 9.0
+    assert side * 2 * side > 64 * k
+    assert_peaks_equal_full_scan(mag, k)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 30), st.integers(2, 60), st.integers(1, 200), st.data())
+def test_find_peaks_widens_on_single_peak_ramp_property(rows, cols, k, data):
+    # One strict maximum on a cone: fewer than k survive any cut, so the cut
+    # widens until it covers the whole grid.
+    l0, p0 = data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1))
+    ls, ps = np.indices((rows, cols))
+    mag = 100.0 - np.abs(ls - l0) - np.abs(ps - p0)
+    assert_peaks_equal_full_scan(mag, k)
+    assert len(find_peaks(synthetic_surface(mag), k)) == 1
+
+
+@pytest.mark.parametrize("k", [1, 3, 100])
+def test_find_peaks_all_zero_surface_widens_to_nothing(k):
+    assert find_peaks(synthetic_surface(np.zeros((64, 128))), k) == []
+
+
+def test_find_peaks_first_cut_holding_k_maxima_takes_one_round():
+    # Exactly 64 isolated cells share the top value, so the first cut for
+    # k=1 sits at that value and already holds strict maxima.
+    mag = np.zeros((32, 64))
+    mag[::4, ::8] = 5.0
+    rounds = []
+    real = detection._strict_maxima
+    with mock.patch.object(detection, "_strict_maxima",
+                           lambda m, cut: rounds.append(cut) or real(m, cut)):
+        peaks = find_peaks(synthetic_surface(mag), 1)
+    assert [(p.l, p.p) for p in peaks] == [(0, 0)]
+    assert rounds == [5.0]
 
 
 # --- classify on synthetic surfaces --------------------------------------------------
