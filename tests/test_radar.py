@@ -326,7 +326,14 @@ def test_scenario_defaults_fill_in():
     assert scn.n == 4096 and scn.l_bins == 64
     assert scn.surv_gain == 64.0 and scn.transform_input_gain == 16.0
     assert scn.fm.duration_samples == 4096 + 64
+    assert (scn.fm.f_s, scn.fm.k_f, scn.fm.seed) == (200_000.0, 0.25, 0)
+    assert scn.fm == StereoFmConfig(duration_samples=4096 + 64)
+    noise = scn.noise
+    assert (noise.kind, noise.snr_db, noise.eps, noise.sigma1, noise.sigma2, noise.seed) == (
+        NoiseKind.NONE, 0.0, 0.9, 0.25, 10.0, 0)
+    assert noise == NoiseModel()
     assert scn.obstacles[0].amplitude == 1 + 0j
+    assert scn.obstacles[0].amplitude.imag == 0.0 and scn.obstacles[0] == Obstacle(10.0, 0.0, 200.0)
 
 
 @pytest.mark.parametrize("mutate,needle", [
