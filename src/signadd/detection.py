@@ -163,17 +163,12 @@ def classify(surface: AmbiguitySurface, scenario: Scenario) -> DetectionReport:
 def sidelobe_floor_db(surface: AmbiguitySurface, scenario: Scenario) -> float:
     """Largest magnitude outside every guard box, dB relative to the global
     peak; never above 0, capped at the finite floor for zero cells."""
-    mask = np.zeros(surface.values.shape, dtype=bool)
+    outside = np.ones(surface.values.shape, dtype=bool)
     for rows, cols in _guard_boxes(surface, scenario):
-        mask[np.ix_(rows, cols)] = True
-    if mask.all():
+        outside[np.ix_(rows, cols)] = False
+    if not outside.any():
         raise ContractError("sidelobe_floor_db: guard regions cover the whole surface")
-    mag = surface.magnitude()
-    gmax = float(mag.max())
-    outside = float(mag[~mask].max())
-    if gmax <= 0.0 or outside <= 0.0:
-        return DB_FLOOR_CAP
-    return max(20.0 * np.log10(outside / gmax), DB_FLOOR_CAP)
+    return float(surface._db(surface.magnitude().max(where=outside, initial=0.0)))
 
 
 def surface_for_scenario(scn: Scenario, variant) -> AmbiguitySurface:

@@ -201,7 +201,10 @@ def gen_stereo_fm(cfg: StereoFmConfig) -> ComplexSignal:
         + 0.25 * np.cos(2.0 * np.pi * 3.0 * cfg.f_p * t)
         + 0.1 * np.cos(2.0 * np.pi * cfg.f_p * t)
     )
-    phase = 2.0 * np.pi * cfg.k_f * m
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = 2.0 * np.pi * cfg.k_f * m
+    if not np.isfinite(phase).all():
+        raise ContractError(f"gen_stereo_fm: 'kf' {cfg.k_f!r} takes the phase past the float range")
     return ComplexSignal(np.cos(phase) + 1j * np.sin(phase), cfg.f_s)
 
 
@@ -209,7 +212,11 @@ def bistatic_delay_bins(tx_km, rx_km, obstacle: Obstacle, f_s: float) -> int:
     """Integer delay of the transmitter->obstacle->receiver path in samples."""
     d1 = math.hypot(obstacle.x_km - tx_km[0], obstacle.y_km - tx_km[1])
     d2 = math.hypot(obstacle.x_km - rx_km[0], obstacle.y_km - rx_km[1])
-    return round((d1 + d2) * 1000.0 / SPEED_OF_LIGHT * f_s)
+    delay = (d1 + d2) * 1000.0 / SPEED_OF_LIGHT * f_s
+    if not math.isfinite(delay):
+        raise ContractError(f"bistatic_delay_bins: 'obstacles' entry ({obstacle.x_km}, "
+                            f"{obstacle.y_km}) km has no finite delay from tx {tx_km} to rx {rx_km}")
+    return round(delay)
 
 
 def doppler_bin(doppler_hz: float, n: int, f_s: float) -> int:
@@ -240,19 +247,14 @@ def synth_surveillance(scn: Scenario, s_ref: ComplexSignal) -> ComplexSignal:
         raise ContractError(
             f"synth_surveillance: reference length {d} is below n + max delay = {need}"
         )
-    i = np.arange(d)
     out = np.zeros(d, dtype=complex)
     # Overflow is reported below as one error naming its key, not as warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for ob, l in zip(scn.obstacles, delays):
-            shifted = np.zeros(d, dtype=complex)
-            shifted[l:] = ref[: d - l]
-            if ob.doppler_hz == 0.0:
-                out += ob.amplitude * shifted
-            else:
-                out += ob.amplitude * shifted * np.exp(
-                    2j * np.pi * ob.doppler_hz * i / scn.fm.f_s
-                )
+            echo = ob.amplitude * ref[: d - l]
+            if ob.doppler_hz != 0.0:
+                echo *= np.exp(2j * np.pi * ob.doppler_hz * np.arange(l, d) / scn.fm.f_s)
+            out[l:] += echo
         out = apply_noise(out, scn.noise)
         if not np.isfinite(out).all():
             raise ContractError("synth_surveillance: the echoes of 'obstacles' plus the "
@@ -319,37 +321,35 @@ def reseed_scenario(scn: Scenario, seed: int) -> Scenario:
 # --- JSON scenario schema ---------------------------------------------------
 #
 # One table per JSON object, read by the parser and scenario_to_dict; each
-# row is (key, attribute, type, default).  A default of _REQUIRED makes the
-# key mandatory; None leaves an absent key to the caller.
-
-_REQUIRED = object()
+# row is (key, attribute, type, required).  An absent optional key takes the
+# dataclass default.
 
 _TOP_FIELDS = (
-    ("n", "n", int, 4096),
-    ("l_bins", "l_bins", int, 64),
-    ("surv_gain", "surv_gain", float, 64.0),
-    ("transform_input_gain", "transform_input_gain", float, 16.0),
+    ("n", "n", int, False),
+    ("l_bins", "l_bins", int, False),
+    ("surv_gain", "surv_gain", float, False),
+    ("transform_input_gain", "transform_input_gain", float, False),
 )
 _FM_FIELDS = (
-    ("fs_hz", "f_s", float, 200_000.0),
-    ("duration_samples", "duration_samples", int, None),
-    ("kf", "k_f", float, 0.25),
-    ("seed", "seed", int, 0),
+    ("fs_hz", "f_s", float, False),
+    ("duration_samples", "duration_samples", int, False),
+    ("kf", "k_f", float, False),
+    ("seed", "seed", int, False),
 )
 _OBSTACLE_FIELDS = (
-    ("x_km", "x_km", float, _REQUIRED),
-    ("y_km", "y_km", float, _REQUIRED),
-    ("doppler_hz", "doppler_hz", float, _REQUIRED),
-    ("amplitude_re", "amplitude.real", float, 1.0),
-    ("amplitude_im", "amplitude.imag", float, 0.0),
+    ("x_km", "x_km", float, True),
+    ("y_km", "y_km", float, True),
+    ("doppler_hz", "doppler_hz", float, True),
+    ("amplitude_re", "amplitude.real", float, False),
+    ("amplitude_im", "amplitude.imag", float, False),
 )
 _NOISE_FIELDS = (
-    ("kind", "kind", NoiseKind, NoiseKind.NONE),
-    ("snr_db", "snr_db", float, 0.0),
-    ("eps", "eps", float, 0.9),
-    ("sigma1", "sigma1", float, 0.25),
-    ("sigma2", "sigma2", float, 10.0),
-    ("seed", "seed", int, 0),
+    ("kind", "kind", NoiseKind, False),
+    ("snr_db", "snr_db", float, False),
+    ("eps", "eps", float, False),
+    ("sigma1", "sigma1", float, False),
+    ("sigma2", "sigma2", float, False),
+    ("seed", "seed", int, False),
 )
 _NOISE_NEEDS = {
     NoiseKind.AWGN: ("snr_db",),
@@ -379,7 +379,7 @@ def _value(v, kind, name: str):
 
 
 def _fields(doc, fields, where: str, extra=()) -> dict:
-    """{attribute: value} of the object ``doc`` whose keys are named
+    """{attribute: value} of the keys present in the object ``doc``, named
     ``where + key``, read through its field table; keys in ``extra`` are
     left to the caller."""
     if not isinstance(doc, dict):
@@ -389,15 +389,13 @@ def _fields(doc, fields, where: str, extra=()) -> dict:
         if key not in known:
             raise SchemaError(f"unknown key '{where}{key}'")
     out = {}
-    for key, attr, kind, default in fields:
+    for key, attr, kind, required in fields:
         if key in doc:
             out[attr] = _value(doc[key], kind, where + key)
             if key == "seed" and out[attr] < 0:
                 raise SchemaError(f"key '{where}seed' must be >= 0, got {out[attr]}")
-        elif default is _REQUIRED:
+        elif required:
             raise SchemaError(f"missing required key '{where}{key}'")
-        elif default is not None:
-            out[attr] = default
     return out
 
 
@@ -427,7 +425,7 @@ def _required(doc: dict, key: str, where: str):
 def noise_from_dict(doc: dict, name: str) -> NoiseModel:
     """Parse a noise object found under key ``name`` of its document."""
     noise = _fields(doc, _NOISE_FIELDS, name + ".")
-    for key in _NOISE_NEEDS.get(noise["kind"], ()):
+    for key in _NOISE_NEEDS.get(noise.get("kind"), ()):
         if key not in doc:
             raise SchemaError(f"missing required key '{name}.{key}' "
                               f"for {noise['kind'].value} noise")
@@ -438,7 +436,8 @@ def _scenario_from_dict(doc, where: str) -> Scenario:
     """Parse a scenario object whose keys are named ``where + key``."""
     top = _fields(doc, _TOP_FIELDS, where, ("fm", "tx_km", "rx_km", "obstacles", "noise"))
     fm = _fields(doc.get("fm", {}), _FM_FIELDS, where + "fm.")
-    fm.setdefault("duration_samples", top["n"] + top["l_bins"])
+    fm.setdefault("duration_samples",
+                  top.get("n", Scenario.n) + top.get("l_bins", Scenario.l_bins))
     for key in ("tx_km", "rx_km"):
         pair = _required(doc, key, where)
         if not (isinstance(pair, list) and len(pair) == 2):
@@ -450,7 +449,8 @@ def _scenario_from_dict(doc, where: str) -> Scenario:
     obstacles = []
     for i, item in enumerate(items):
         ob = _fields(item, _OBSTACLE_FIELDS, f"{where}obstacles[{i}].")
-        amplitude = complex(ob.pop("amplitude.real"), ob.pop("amplitude.imag"))
+        amplitude = complex(ob.pop("amplitude.real", Obstacle.amplitude.real),
+                            ob.pop("amplitude.imag", Obstacle.amplitude.imag))
         obstacles.append(Obstacle(amplitude=amplitude, **ob))
     return _build(Scenario, where[:-1], obstacles=tuple(obstacles),
                   fm=_build(StereoFmConfig, where + "fm", **fm),

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -145,12 +145,9 @@ class TwiddleTable:
 
     @cached_property
     def bit_reverse(self) -> np.ndarray:
-        """Bit-reversal permutation of 0..N-1 (power-of-two N)."""
+        """Bit-reversal permutation of 0..N-1 (power-of-two N): the index's bit axes reversed."""
         bits = _require_pow2(self.n, "bit reversal")
-        idx = np.arange(self.n)
-        rev = np.zeros(self.n, dtype=np.intp)
-        for i in range(bits):
-            rev |= ((idx >> i) & 1) << (bits - 1 - i)
+        rev = np.arange(self.n, dtype=np.intp).reshape((2,) * bits).T.ravel()
         rev.setflags(write=False)
         return rev
 
@@ -188,17 +185,9 @@ def _laid_out(w: np.ndarray, *shape) -> np.ndarray:
     return out
 
 
-_TABLE_CACHE: dict[int, TwiddleTable] = {}
-
-
+@lru_cache(maxsize=32)
 def twiddle_table(n: int) -> TwiddleTable:
-    tbl = _TABLE_CACHE.get(n)
-    if tbl is None:
-        tbl = TwiddleTable(n)
-        if len(_TABLE_CACHE) > 32:
-            _TABLE_CACHE.clear()
-        _TABLE_CACHE[n] = tbl
-    return tbl
+    return TwiddleTable(n)
 
 
 def unit_tone(k0: int, n: int) -> np.ndarray:

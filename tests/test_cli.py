@@ -273,8 +273,12 @@ def test_ambiguity_negative_scenario_seed_names_key(tmp_path, capsys, patch, key
     (lambda d: d.update(noise={"kind": "awgn", "snr_db": 4000}), "snr_db", "eq11"),
     (lambda d: d.update(transform_input_gain=1e306), "transform_input_gain", "eq12a"),
     (lambda d: "", "{path}", "eq11"),  # a file that is not JSON: the key is the file
+    (lambda d: d["obstacles"][0].update(x_km=1e306), "obstacles", "eq11"),
+    (lambda d: d.update(tx_km=[1e308, 0]), "obstacles", "eq11"),
+    (lambda d: d["fm"].update(kf=1e308), "kf", "eq11"),
 ], ids=["x_km-nan", "l_bins-fraction", "surv_gain-overflow", "echo-overflow",
-        "snr_db-underflow", "snr_db-overflow", "gain-overflow", "not-json"])
+        "snr_db-underflow", "snr_db-overflow", "gain-overflow", "not-json",
+        "x_km-huge", "tx_km-huge", "kf-overflow"])
 def test_ambiguity_malformed_number_names_key(tmp_path, capsys, mutate, key, variant):
     doc = json.loads(file_bytes(scene_path(tmp_path)).decode())
     text = mutate(doc)

@@ -79,6 +79,14 @@ def test_twiddle_quadrants_exact():
     assert twiddle_table(2).entries[1] == complex(-1.0, 0.0)
 
 
+def test_bit_reverse_matches_reversed_binary_digits():
+    for bits in range(1, 17):
+        n = 1 << bits
+        rev = transforms.TwiddleTable(n).bit_reverse
+        assert rev.tolist() == [int(f"{i:0{bits}b}"[::-1], 2) for i in range(n)]
+        assert rev.dtype == np.intp and not rev.flags.writeable
+
+
 def test_unit_tone_exact_grid():
     x = unit_tone(7, 64)
     assert x[0] == 1 + 0j
