@@ -74,37 +74,159 @@ def _write_outputs(prefix: str, files: dict, manifest: bytes) -> None:
                 os.remove(path + ".tmp")
 
 
-_CSV_SLICE_ROWS = 4096  # rows formatted at a time, bounding the strings held
+_CSV_SLICE_ROWS = 8192  # rows formatted at a time, bounding the byte matrix held
 
 
-def _index_strings(col: np.ndarray) -> np.ndarray | None:
-    """``str(i)`` for ``i`` in ``0..col.max()`` as an object array, when ``col``
-    holds integers in ``0..len(col)-1`` (a bin index column); else None."""
-    if col.dtype.kind not in "iu" or col.size == 0 or col.min() < 0 or col.max() >= col.size:
-        return None
-    return np.array([str(i) for i in range(int(col.max()) + 1)], dtype=object)
+def _split(a: np.ndarray):
+    """Dekker's split: ``a = hi + lo`` with halves of at most 26 significant bits."""
+    c = 134217729.0 * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+# 10**j exactly (floats for j < 23, integers for j < 20), and the split of each
+# float, indexed by 16 - E for the exponents E = -5..16 a log10 estimate gives.
+_SCALE = np.array([float(10**j) for j in range(22)])
+_SCALE_HI, _SCALE_LO = _split(_SCALE)
+_POW10 = np.uint64(10) ** np.arange(20, dtype=np.uint64)
+_POW10_32 = _POW10[:10].astype(np.uint32)
+
+
+def _scaled(a: np.ndarray, e: np.ndarray):
+    """``a * 10**(16-e)`` exactly, as Dekker's two-product ``hi + lo``."""
+    hi = a * _SCALE[16 - e]
+    ah, al = _split(a)
+    sh, sl = _SCALE_HI[16 - e], _SCALE_LO[16 - e]
+    return hi, al * sl - (((hi - ah * sh) - al * sh) - ah * sl)
+
+
+def _exponent(a: np.ndarray):
+    """``E = floor(log10(a))`` exactly, with ``a * 10**(16-E)`` in
+    ``[1e16, 1e17)`` as ``hi + lo``, for ``1e-4 <= a < 1e16``."""
+    e = np.floor(np.log10(a)).astype(np.int64)
+    hi, lo = _scaled(a, e)
+    low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    if low.any() or high.any():  # log10 rounded across a power of ten
+        e += high.astype(np.int64) - low
+        hi, lo = _scaled(a, e)
+    return e, hi, lo
+
+
+def _digits(v: np.ndarray, width: int, lead: bool) -> np.ndarray:
+    """Characters of the ``width`` decimal digits of uint64 ``v < 10**width``
+    as a ``(width, len(v))`` uint8 array, from floor division by scalar
+    powers of ten, nine digits at a time in uint32.  Leading zeros
+    (``lead``) or trailing zeros become NUL, except the last or first digit."""
+    d = np.empty((width, v.size), np.uint8)
+    for stop in range(width, 0, -9):
+        high = v // _POW10[9]
+        chunk, v, w = (v - high * _POW10[9]).astype(np.uint32), high, min(stop, 9)
+        above = np.uint32(0)
+        for j in range(w):
+            q = chunk // _POW10_32[w - 1 - j]
+            d[stop - w + j] = q - above * np.uint32(10)
+            above = q
+    keep = d != 0  # then: a nonzero digit lies at or before (lead) or after it
+    keep[-1 if lead else 0] = True
+    for j in range(1, width) if lead else range(width - 2, -1, -1):
+        keep[j] |= keep[j - 1 if lead else j + 1]
+    d += 48
+    d *= keep
+    return d
+
+
+def _shortest(n: np.ndarray, frac: np.ndarray, half_ulp: np.ndarray) -> np.ndarray:
+    """Shortest digits as 17-digit integers ending in zeros, inside
+    ``v +- half_ulp`` around ``v = n + frac`` (``DECISIONS.md`` entry 15):
+    the multiple of 100 inside if there is one (there is at most one, and
+    a multiple of any higher power of ten inside is that one), else the
+    nearer multiple of ten inside (half-even), else ``n``."""
+    # the integers inside (frac +- half_ulp is exact; open or closed ends never matter)
+    upper = (n.view(np.int64) + np.floor(frac + half_ulp).astype(np.int64)).view(np.uint64)
+    lower = (n.view(np.int64) + np.ceil(frac - half_ulp).astype(np.int64)).view(np.uint64)
+    q = n // np.uint64(10)
+    twice_r = (n - q * np.uint64(10)) * np.uint64(2)
+    odd_q = q & np.uint64(1) == 1
+    up = (twice_r > 10) | ((twice_r == 10) & ((frac > 0) | ((frac == 0) & odd_q)))
+    tens = (q + up) * np.uint64(10)
+    hundreds = upper // np.uint64(100) * np.uint64(100)
+    return np.where(hundreds >= lower, hundreds,
+                    np.where((lower <= tens) & (tens <= upper), tens, n))
+
+
+def _float_field(x: np.ndarray) -> np.ndarray:
+    """``repr`` of each float64 cell as NUL-padded uint8 characters, one
+    column per cell.
+
+    Cells with ``1e-4 <= |x| < 1e16`` and a mantissa that is not a power of
+    two take their shortest round-trip digits from exact integer arithmetic
+    (``DECISIONS.md`` entry 15); the others are written by ``repr``.
+    """
+    a = np.abs(x)
+    ok = (a >= 1e-4) & (a < 1e16) & (x.view(np.uint64) << np.uint64(12) != 0)
+    a = np.where(ok, a, 1.0)  # a placeholder where repr writes the cell
+    e, hi, lo = _exponent(a)
+    # hi is an even integer (its ulp is at least 2), so adding rint(lo) rounds half-even.
+    rlo = np.rint(lo)
+    n = (hi.astype(np.int64) + rlo.astype(np.int64)).view(np.uint64)
+    c = _shortest(n, lo - rlo, np.spacing(a) * _SCALE[16 - e] * 0.5)
+    ip = a.astype(np.uint64)  # the integer part of c * 10**(e-16) (entry 15)
+    # the fraction's digits, moved to the top of 17 columns (ip is 0 where e < 0)
+    tail = (c - ip * _POW10[np.minimum(16 - e, 19)]) * _POW10[np.maximum(e + 1, 0)]
+    field = np.vstack([
+        np.where(x < 0, np.uint8(45), np.uint8(0)),
+        _digits(ip, len(str(ip.max())), lead=True),
+        np.full(x.size, 46, np.uint8),
+        np.where(np.arange(3)[:, None] < -e - 1, np.uint8(48), np.uint8(0)),
+        _digits(tail, 17, lead=False)])
+    rows = np.flatnonzero(~ok)
+    if rows.size:
+        reps = _text_field(map(repr, x[rows].tolist()))
+        if len(reps) > len(field):
+            field = np.vstack([field, np.zeros((len(reps) - len(field), x.size), np.uint8)])
+        field[:, rows] = 0
+        field[: len(reps), rows] = reps
+    return field
+
+
+def _text_field(cells) -> np.ndarray:
+    """Strings as a NUL-padded uint8 matrix, one column per string."""
+    cells = np.array([c.encode() for c in cells], dtype=bytes)
+    return cells.view(np.uint8).reshape(cells.size, -1).T
+
+
+def _cell_field(col: np.ndarray) -> np.ndarray:
+    """A CSV column's cells, floats as ``repr`` and the rest as ``str``, as a
+    NUL-padded uint8 matrix with one column per cell."""
+    if col.dtype.kind == "f":
+        return _float_field(col.astype(np.float64))
+    if col.dtype.kind in "iu":
+        u = col.astype(np.uint64)  # two's complement for negative cells
+        mag = np.where(col < 0, np.uint64(0) - u, u)
+        return np.vstack([np.where(col < 0, np.uint8(45), np.uint8(0)),
+                          _digits(mag, len(str(mag.max())), lead=True)])
+    return _text_field(map(str, col.tolist()))
 
 
 def _csv_bytes(header: list[str], columns: list, manifest_name: str) -> bytes:
     """CSV of equal-length columns, floats as ``repr``, the rest as ``str``, unquoted.
 
-    A bin index column takes its cells from one table of strings; each slice
-    of rows is one join over its cells interleaved with their separators.
+    Each slice of rows becomes one byte matrix: per column its NUL-padded
+    cells, then a ``,`` or ``\\n`` row; read cell by cell without the NULs
+    it is the slice's text (``DECISIONS.md`` entry 15).
     """
     columns = [np.asarray(col) for col in columns]
-    tables = [_index_strings(col) for col in columns]
-    stride = 2 * len(columns)  # a row is its cells, each followed by ',' or '\n'
-    parts = [f"# manifest={manifest_name}\n", ",".join(header), "\n"]
+    parts = [f"# manifest={manifest_name}\n{','.join(header)}\n".encode()]
     for r0 in range(0, len(columns[0]), _CSV_SLICE_ROWS):
-        cols = [col[r0 : r0 + _CSV_SLICE_ROWS] for col in columns]
-        cells = [","] * (stride * len(cols[0]))
-        cells[stride - 1 :: stride] = ["\n"] * len(cols[0])
-        for j, (c, table) in enumerate(zip(cols, tables)):
-            cells[2 * j :: stride] = (
-                table[c].tolist() if table is not None
-                else list(map(repr if c.dtype.kind == "f" else str, c.tolist())))
-        parts.append("".join(cells))
-    return "".join(parts).encode()
+        blocks = []
+        for j, col in enumerate(columns):
+            field = _cell_field(col[r0 : r0 + _CSV_SLICE_ROWS])
+            sep = b"\n" if j == len(columns) - 1 else b","
+            blocks += [field, np.full((1, field.shape[1]), ord(sep), np.uint8)]
+        matrix = np.vstack(blocks).T
+        parts.append(matrix[matrix != 0].tobytes())
+    return b"".join(parts)
 
 
 def _manifest(prefix: str, command: str, args_desc: dict,

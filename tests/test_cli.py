@@ -5,6 +5,8 @@ import csv
 import io
 import json
 import os
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -579,10 +581,10 @@ def test_csv_bytes_matches_row_writer_property(rows):
 
 @st.composite
 def csv_columns(draw):
-    """Equal-length columns and their rows.  Bin index columns (integers in
-    0..rows-1, with repeats and at the bound) and the surface's repeat/tile
-    grid take the string tables; integers past the bound, negative or up to
-    +-2**62 and string columns take the fallback.  Zero rows are included."""
+    """Equal-length columns and their rows: bin index columns (integers in
+    0..rows-1, with repeats and at the bound), the surface's repeat/tile
+    grid, integers past the bound, negative or up to +-2**62, floats and
+    string columns.  Zero rows are included."""
     a, b = draw(st.integers(0, 4)), draw(st.integers(1, 5))
     n = a * b
     kinds = draw(st.lists(st.sampled_from(
@@ -606,10 +608,6 @@ def csv_columns(draw):
         else:
             col = np.array(draw(st.lists(st.integers(-2**62, 2**62), min_size=n, max_size=n)),
                            dtype=np.int64)
-        if kind in ("index", "repeat", "tile") and n:
-            assert cli._index_strings(col) is not None
-        elif kind == "past_bound":
-            assert cli._index_strings(col) is None
         columns.append(col)
     return columns, list(zip(*(col.tolist() for col in columns)))
 
@@ -622,6 +620,125 @@ def test_csv_bytes_index_tables_match_row_writer_property(case):
     with mock.patch.object(cli, "_CSV_SLICE_ROWS", 5):  # several slices, the last ragged
         assert (cli._csv_bytes(header, columns, "m.json")
                 == csv_writer_bytes(header, rows, "m.json"))
+
+
+# --- float digits against repr --------------------------------------------------------
+
+def float_texts(values):
+    """The cells ``cli._float_field`` writes for ``values``, NULs dropped."""
+    field = cli._float_field(np.asarray(values, dtype=np.float64))
+    return [bytes(cell[cell != 0]).decode() for cell in field.T]
+
+
+def assert_floats_match_repr(values):
+    values = np.asarray(values, dtype=np.float64)
+    assert float_texts(values) == [repr(v) for v in values.tolist()]
+
+
+POWERS_OF_TEN = [10.0**j for j in range(17)] + [float(f"1e-{j}") for j in range(1, 6)]
+EDGE_FLOATS = [
+    ("tie-8", 8 + 2**-16, "8.000015258789062"),
+    ("tie-512", 512 + 2**-14, "512.0000610351562"),
+    ("tie-2**50", 2**50 + 0.25, "1125899906842624.2"),
+    ("carry", 9.9999999999999995, "10.0"),
+    ("zero", 0.0, "0.0"),
+    ("minus-zero", -0.0, "-0.0"),
+    ("subnormal", 5e-324, "5e-324"),
+    ("minus-subnormal", -2.5e-310, "-2.5e-310"),
+    ("1e308", 1e308, "1e+308"),
+    ("minus-1e308", -1e308, "-1e+308"),
+    ("floor-cap", -300.0, "-300.0"),
+    ("integral", 1234567.0, "1234567.0"),
+    ("integral-power-of-two", 4096.0, "4096.0"),
+    ("largest-below-1e16", 9999999999999998.0, "9999999999999998.0"),
+    ("below-1e-4", 9.999999999999999e-05, "9.999999999999999e-05"),
+]
+
+
+@pytest.mark.parametrize("value,text", [c[1:] for c in EDGE_FLOATS],
+                         ids=[c[0] for c in EDGE_FLOATS])
+def test_float_digits_edge_cases(value, text):
+    assert float_texts([value]) == [text] == [repr(value)]
+
+
+def test_float_digits_around_powers_of_two_and_ten():
+    # Exact powers of two take repr; their neighbours, and the neighbours of
+    # 1e-4, 1e16 and each power of ten between, take the computed digits.
+    centres = [2.0**j for j in range(-16, 56)] + POWERS_OF_TEN
+    values = [np.nextafter(c, d) for c in centres for d in (0.0, np.inf)] + centres
+    values += [-v for v in values]
+    assert_floats_match_repr(values)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6))
+def test_float_digits_match_repr_property(values):
+    assert_floats_match_repr(values)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_float_digits_match_repr_on_random_doubles(seed):
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**64, size=100_000, dtype=np.uint64, endpoint=False)
+    values = bits.view(np.float64)
+    # random bit patterns, and the positional range with every exponent drawn
+    scaled = rng.uniform(1, 10, 100_000) * 10.0 ** rng.integers(-4, 16, 100_000)
+    assert_floats_match_repr(np.concatenate([values[np.isfinite(values)], scaled, -scaled]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(1e-4, 1e16, exclude_max=True), st.integers(-1, 1))
+def test_scaled_product_is_exact_property(a, off):
+    # hi + lo is a * 10**(16-e) without rounding, for the exponent of a and
+    # its two neighbours, between which the log10 estimate falls.
+    assert abs(int(np.floor(np.log10(a))) - Decimal(a).adjusted()) <= 1
+    e = Decimal(a).adjusted() + off
+    hi, lo = cli._scaled(np.array([a]), np.array([e]))
+    assert Fraction(hi[0]) + Fraction(lo[0]) == Fraction(a) * Fraction(10) ** (16 - e)
+
+
+def test_exponent_is_exact_where_log10_rounds_up():
+    # Just below a power of ten, floor(log10(x)) is one too large for many
+    # doubles (99.99999999999999, 999.9999999999999, ...); the scaled
+    # product corrects it.
+    below = []
+    for v in POWERS_OF_TEN:
+        for _ in range(8):
+            v = np.nextafter(v, 0.0)
+            below.append(v)
+    a = np.array([v for v in below if 1e-4 <= v < 1e16])
+    assert (np.floor(np.log10(a)) != [Decimal(v).adjusted() for v in a]).sum() > 20
+    e, hi, lo = cli._exponent(a)
+    assert e.tolist() == [Decimal(v).adjusted() for v in a.tolist()]
+    assert ((hi >= 1e16) & (hi <= 1e17)).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(1e-4, 1e16, exclude_max=True))
+def test_round_trip_bounds_are_never_a_shorter_candidate_property(a):
+    # v +- U/2 is an integer only at E = 15 with a >= 2**52, and never a
+    # multiple of 100; so whether the interval is open or closed, which
+    # depends on the mantissa's parity, never changes the shortest digits.
+    e = Decimal(a).adjusted()
+    v = Fraction(a) * Fraction(10) ** (16 - e)
+    half = Fraction(float(np.spacing(a))) * Fraction(10) ** (16 - e) / 2
+    for bound in (v - half, v + half):
+        assert bound.denominator == 1 or not (e == 15 and a >= 2.0**52)
+        assert bound.denominator != 1 or (e == 15 and a >= 2.0**52 and bound % 100 != 0)
+
+
+def test_surface_csv_equals_repr_join():
+    from signadd.detection import surface_for_scenario
+    from signadd.radar import load_scenario
+
+    surface = surface_for_scenario(load_scenario(str(DEMOS / "scenario_benchmark.json")), "eq12a")
+    db = surface.magnitude_db()
+    want = "".join(f"{l},{p},{v!r}\n" for l, row in enumerate(db.tolist())
+                   for p, v in enumerate(row))
+    got = cli._csv_bytes(["l", "p", "magnitude_db"],
+                         [np.repeat(np.arange(surface.l_bins), surface.n),
+                          np.tile(np.arange(surface.n), surface.l_bins), db.ravel()], "m.json")
+    assert got == f"# manifest=m.json\nl,p,magnitude_db\n{want}".encode()
 
 
 # --- determinism across reruns --------------------------------------------------------
