@@ -14,15 +14,16 @@ eq12b      sign-additive       exact FFT
 eq12c      exact multiply      nonlinear FFT
 =========  ==================  =====================
 
-The reference is conjugated before the lag product in every variant, so a
-row correlates the surveillance signal with the delayed reference: the
-cross-ambiguity function of passive radar.  Reference samples before the
-capture start are taken as zero: echoes are causal, there is no wraparound.
+The reference is conjugated before the lag product in every variant, once,
+in the lag window both lag products read, so a row correlates the
+surveillance signal with the delayed reference: the cross-ambiguity function
+of passive radar.  Reference samples before the capture start are taken as
+zero: echoes are causal, there is no wraparound.
 
-The nonlinear-FFT variants accept an input gain applied to the lag product
-before the transform.  The sign-additive product is only jointly
-homogeneous, so this gain is a real parameter of the processing, not a
-cosmetic scale.
+Every variant takes an input gain, applied to the lag product before the
+transform where the table above has the nonlinear FFT.  The sign-additive
+product is only jointly homogeneous, so this gain is a real parameter of the
+processing, not a cosmetic scale; an exact transform would only rescale.
 
 Rows are mutually independent, so ``compute_ambiguity`` transforms them in
 blocks of any size with bit-identical results.  A surface stores only its
@@ -142,8 +143,8 @@ class AmbiguitySurface:
 
 
 def _lag_slices(s_surv, s_ref, l, n: int | None):
-    """The first ``n`` surveillance samples and the reference delayed by each
-    lag in ``l`` (an int, or a 1-d array giving one row per lag)."""
+    """The first ``n`` surveillance samples and the conjugated reference
+    delayed by each lag in ``l`` (an int, or a 1-d array giving one row per lag)."""
     surv = s_surv.samples if isinstance(s_surv, ComplexSignal) else np.asarray(s_surv, dtype=complex)
     ref = s_ref.samples if isinstance(s_ref, ComplexSignal) else np.asarray(s_ref, dtype=complex)
     if n is None:
@@ -160,8 +161,9 @@ def _lag_slices(s_surv, s_ref, l, n: int | None):
         raise ContractError(f"reference signal too short for n={n}, lag={lo}")
     # Reference samples before the capture start are zero (echoes are causal;
     # a row from lag n on is all zero).  The window of the padded reference
-    # that starts at hi - l is the reference delayed by l.
-    padded = np.concatenate((np.zeros(hi, dtype=complex), ref[:n]))
+    # that starts at hi - l is the reference delayed by l.  The padding is
+    # conjugated too, to 0-0j, as conj of the delayed reference gives it.
+    padded = np.conj(np.concatenate((np.zeros(hi, dtype=complex), ref[:n])))
     return surv[:n], sliding_window_view(padded, n)[hi - lags]
 
 
@@ -171,15 +173,15 @@ def lag_product_exact(s_surv, s_ref, l, n: int | None = None) -> np.ndarray:
     An int lag gives one row of ``n``; a 1-d array of lags gives a
     ``(lags, n)`` array, row ``r`` the product at lag ``l[r]``.
     """
-    surv, shifted = _lag_slices(s_surv, s_ref, l, n)
-    return surv * np.conj(shifted)
+    surv, ref_conj = _lag_slices(s_surv, s_ref, l, n)
+    return surv * ref_conj
 
 
 def lag_product_mf(s_surv, s_ref, l, n: int | None = None) -> np.ndarray:
     """Sign-additive lag product: one complex application per sample; lags
     as in ``lag_product_exact``."""
-    surv, shifted = _lag_slices(s_surv, s_ref, l, n)
-    rr, ri = _mf_complex_raw(surv.real, surv.imag, shifted.real, -shifted.imag)
+    surv, ref_conj = _lag_slices(s_surv, s_ref, l, n)
+    rr, ri = _mf_complex_raw(surv.real, surv.imag, ref_conj.real, ref_conj.imag)
     return rr + 1j * ri
 
 
@@ -204,9 +206,10 @@ def compute_ambiguity(variant, s_surv, s_ref, l_bins: int, n: int,
                       transform_input_gain: float = 1.0) -> AmbiguitySurface:
     """Surface of a variant given by name or enum.
 
-    The input gain reaches only the nonlinear-FFT variants; for the exact
-    transform it would rescale the whole surface and change nothing.  A gain
-    that takes the transform input past the float range fails naming it.
+    The input gain reaches the variants that ``_STAGES`` marks nonlinear, and
+    only those; for the exact transform it would rescale the whole surface and
+    change nothing.  A gain that takes the transform input past the float
+    range fails naming it.
     """
     variant = AmbiguityVariant(variant)
     mf_lag, nonlinear = _STAGES[variant]

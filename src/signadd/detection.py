@@ -175,17 +175,12 @@ def sidelobe_floor_db(surface: AmbiguitySurface, scenario: Scenario) -> float:
 
 
 def surface_for_scenario(scn: Scenario, variant) -> AmbiguitySurface:
-    """Build signals and compute the surface a scenario asks for.
-
-    The transform input gain feeds the fully sign-additive variant only;
-    the exact-transform variants are scale-invariant and the mixed
-    exact-lag variant ships without campaign gains.
-    """
-    variant = AmbiguityVariant(variant)
+    """Build signals and compute the surface a scenario asks for, with the
+    scenario's transform input gain; ``compute_ambiguity`` applies it where
+    the variant runs the nonlinear FFT."""
     s_ref, s_surv = build_signals(scn)
-    gain = scn.transform_input_gain if variant is AmbiguityVariant.EQ12A else 1.0
     return compute_ambiguity(variant, s_surv, s_ref, scn.l_bins, scn.n,
-                             transform_input_gain=gain)
+                             transform_input_gain=scn.transform_input_gain)
 
 
 def run_scenario(scn: Scenario, variant, seed: int) -> DetectionReport:

@@ -99,7 +99,8 @@ def _mf_complex_laid(w_parts, b):
     """``_mf_complex_raw(w, b)`` of a complex ``b``, with ``w`` given as its parts.
 
     ``w_parts`` are the signs ``s_wr, s_wi`` and magnitudes ``m_wr, m_wi`` of
-    ``w``'s components, each laid out over the float view ``(..., 2)`` of ``b``.
+    ``w``'s components, each laid out over (or broadcasting to) the float
+    view ``(..., 2)`` of ``b``.
     The result equals ``_mf_complex_raw`` term for term, zeros of both signs
     included, up to exact commutations (DECISIONS.md 13).
     """

@@ -22,7 +22,8 @@ is one table, read by ``transform_cost``; ``Spectrum.op_counts`` derives
 from it and the shape of the bins, and no transform counts anything.
 
 ``fft_exact`` and ``nfft`` share one radix-2 stage loop, ``_radix2``; both
-also transform each row of a ``(rows, N)`` array.
+also transform each row of a ``(rows, N)`` array.  ``ndft`` and ``nfft``
+apply the operator through one kernel, ``operator._mf_complex_laid``.
 
 Twiddle factors are precomputed from the closed form with quadrant-exact
 values at multiples of a quarter turn.  This matters: the sign-additive
@@ -39,13 +40,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .operator import (
-    ContractError,
-    DomainError,
-    OpCountReport,
-    _mf_complex_laid,
-    _mf_complex_raw,
-)
+from .operator import ContractError, DomainError, OpCountReport, _mf_complex_laid
 
 __all__ = [
     "ComplexSignal",
@@ -174,8 +169,7 @@ class TwiddleTable:
         """Per radix-2 stage, the signs and the magnitudes of the real and the
         imaginary part of its twiddles, ``(s_wr, s_wi, m_wr, m_wi)``, each laid
         out ``(h, rows, 2)`` over the float view of an ``(N, rows)`` block."""
-        return self._by_rows(("nfft", rows), lambda w: tuple(
-            _laid_out(fn(part), rows, 2) for fn in (np.sign, np.abs) for part in (w.real, w.imag)))
+        return self._by_rows(("nfft", rows), lambda w: _laid_parts(w, rows, 2))
 
 
 def _laid_out(w: np.ndarray, *shape) -> np.ndarray:
@@ -183,6 +177,12 @@ def _laid_out(w: np.ndarray, *shape) -> np.ndarray:
     out = np.broadcast_to(w.reshape(-1, *(1 for _ in shape)), (w.size, *shape)).copy()
     out.setflags(write=False)
     return out
+
+
+def _laid_parts(w: np.ndarray, *shape) -> tuple:
+    """``w``'s parts ``(s_wr, s_wi, m_wr, m_wi)`` for ``_mf_complex_laid``,
+    each laid out ``(w.size, *shape)``."""
+    return tuple(_laid_out(fn(part), *shape) for fn in (np.sign, np.abs) for part in (w.real, w.imag))
 
 
 @lru_cache(maxsize=32)
@@ -279,20 +279,20 @@ def ndft(x) -> Spectrum:
     """Nonlinear DFT: the full DFT matrix applied with the sign-additive product.
 
     Every matrix element, the unity entries of row/column 0 included, goes
-    through one complex application: exactly N^2 of them.  Row sums
+    through one complex application: exactly N^2 of them, on the kernel of
+    ``nfft`` with the input's parts laid out over each row.  Row sums
     accumulate column-by-column in index order (an in-place ``cumsum``, see
     DECISIONS.md 8), bit-for-bit identical to an explicit scalar double loop.
     """
     v = _as_samples(x)
     n = v.size
     tbl = twiddle_table(n)
+    parts = _laid_parts(v, 2)
     bins = np.empty(n, dtype=complex)
     ks = np.arange(n)
     for rows in _row_blocks(n, n):
-        m = tbl.entries[np.outer(rows, ks) % n]
-        rr, ri = _mf_complex_raw(m.real, m.imag, v.real[None, :], v.imag[None, :])
-        bins.real[rows] = np.cumsum(rr, axis=1, out=rr)[:, -1]
-        bins.imag[rows] = np.cumsum(ri, axis=1, out=ri)[:, -1]
+        t = _mf_complex_laid(parts, tbl.entries[np.outer(rows, ks) % n])
+        bins[rows] = np.cumsum(t, axis=1, out=t)[:, -1]
     return Spectrum(bins, TransformKind.NDFT)
 
 

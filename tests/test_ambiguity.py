@@ -12,6 +12,7 @@ from signadd import (
     compute_ambiguity,
     lag_product_exact,
     lag_product_mf,
+    mf_complex,
     nfft,
     peak_index,
     two_targets_one_clutter,
@@ -97,26 +98,49 @@ def test_lag_past_n_gives_zero_row(lag_fn):
     assert not compute_ambiguity("eq12a", signal(surv), signal(ref), 16, 8).values[8:].any()
 
 
-@pytest.mark.parametrize("lag_fn", [lag_product_exact, lag_product_mf])
-def test_lag_block_equals_per_lag_calls(lag_fn):
-    # One call over a block of lags, lags past n and a repeat included,
-    # against one call per lag and against lag 0 on the reference shifted by
-    # hand; zeros of both signs are planted in both signals.
+def planted_lag_inputs(n=16):
+    """Surveillance and reference signals with zeros of both signs planted in
+    each, and a block of lags with lag 0, lags past ``n`` and a repeat."""
     g = rng()
-    n = 16
     surv = g.standard_normal(n) + 1j * g.standard_normal(n)
     ref = g.standard_normal(24) + 1j * g.standard_normal(24)
     surv[[1, 6]] = [complex(-0.0, 0.0), complex(0.0, -0.0)]
     ref[[0, 3, 7]] = [complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0)]
-    lags = np.array([0, 3, 5, 15, 16, 23, 3])
+    return surv, ref, np.array([0, 3, 5, 15, 16, 23, 3])
+
+
+def delayed_by_hand(ref, l, n):
+    """The reference delayed by ``l`` over ``0j`` padding, cut to ``n`` samples."""
+    shifted = np.zeros(n, dtype=complex)
+    shifted[l:] = ref[: max(n - l, 0)]
+    return shifted
+
+
+@pytest.mark.parametrize("lag_fn", [lag_product_exact, lag_product_mf])
+def test_lag_block_equals_per_lag_calls(lag_fn):
+    # One call over a block of lags against one call per lag and against lag 0
+    # on the reference shifted by hand.
+    n = 16
+    surv, ref, lags = planted_lag_inputs(n)
     block = lag_fn(surv, signal(ref), lags, n)
     assert block.shape == (lags.size, n)
     per_lag = np.stack([lag_fn(surv, signal(ref), int(l), n) for l in lags])
     assert block.tobytes() == per_lag.tobytes()
     for row, l in zip(block, lags):
-        shifted = np.zeros(n, dtype=complex)
-        shifted[l:] = ref[: max(n - l, 0)]
-        assert row.tobytes() == lag_fn(surv, shifted, 0, n).tobytes()
+        assert row.tobytes() == lag_fn(surv, delayed_by_hand(ref, l, n), 0, n).tobytes()
+
+
+def test_lag_products_equal_elementwise_definition_on_conjugated_reference():
+    # Both products against the element-wise definition, the conjugate taken
+    # of the delayed reference, padding zeros included, byte for byte.
+    n = 16
+    surv, ref, lags = planted_lag_inputs(n)
+    exact = lag_product_exact(surv, signal(ref), lags, n)
+    mf = lag_product_mf(surv, signal(ref), lags, n)
+    for l, row_exact, row_mf in zip(lags, exact, mf):
+        ref_conj = np.conj(delayed_by_hand(ref, l, n))
+        assert row_exact.tobytes() == (surv * ref_conj).tobytes(), l
+        assert row_mf.tobytes() == mf_complex(surv, ref_conj).tobytes(), l
 
 
 # --- exact surface against the double-sum oracle ------------------------------------

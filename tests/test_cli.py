@@ -464,6 +464,26 @@ def test_table_set_scenario_contract_error_names_path(tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == ["set.json", "short.json"]
 
 
+def test_table_set_kf_overflow_fails_before_any_trial(tmp_path, capsys):
+    # checked when the waveform config is built, so the error names the key's
+    # path and no trial synthesises a waveform
+    scn_doc = json.loads(file_bytes(scene_path(tmp_path)).decode())
+    scn_doc["fm"]["kf"] = 1e308
+    set_path = tmp_path / "set.json"
+    set_path.write_text(json.dumps({
+        "environments": [{"name": "e", "scenario": scn_doc}],
+        "noises": [{"kind": "none"}],
+        "variants": ["eq11"],
+    }))
+    with mock.patch("signadd.radar.gen_stereo_fm", side_effect=AssertionError("reached")):
+        assert main(["table", "--set", str(set_path), "--seeds", "0",
+                     "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "'environments[0].scenario.fm'" in err and "'kf'" in err
+    assert sorted(os.listdir(tmp_path)) == ["scene.json", "set.json"]
+
+
 @pytest.mark.parametrize("argv,message", [
     (["table", "--seeds", "0,x"], "argument --seeds: bad seed list '0,x'"),
     (["opcount", "--n-list", "8,1.5"], "argument --n-list: bad size list '8,1.5'"),

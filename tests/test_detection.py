@@ -1,5 +1,9 @@
 """Peak extraction, classification, side-lobe floor, table aggregation."""
 
+import math
+from dataclasses import replace
+from functools import lru_cache
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -21,6 +25,7 @@ from signadd import (
     classify,
     compute_ambiguity,
     find_peaks,
+    load_scenario,
     run_scenario,
     run_table,
     sidelobe_floor_db,
@@ -32,6 +37,8 @@ from signadd import detection
 from signadd.ambiguity import SPEED_OF_LIGHT
 from signadd.detection import DB_FLOOR_CAP, default_table_rows, _majority
 from signadd.radar import reseed_scenario
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 def synthetic_surface(values, fs=200_000.0, variant=AmbiguityVariant.EQ11):
@@ -429,16 +436,40 @@ def test_run_table_requires_seeds():
         run_table([("x", _tiny_scene(), "eq11")], seeds=[])
 
 
-def test_surface_for_scenario_gain_reaches_eq12a_only():
+def test_surface_for_scenario_gain_reaches_nonlinear_fft_variants():
     scn = two_targets_one_clutter(n=256)
     assert scn.transform_input_gain == 16.0
     s_ref, s_surv = build_signals(scn)
     for variant in ("eq11", "eq12a", "eq12b", "eq12c"):
-        gain = 16.0 if variant == "eq12a" else 1.0
+        gain = 16.0 if variant in ("eq12a", "eq12c") else 1.0
         want = compute_ambiguity(variant, s_surv, s_ref, scn.l_bins, scn.n, gain)
         got = surface_for_scenario(scn, variant)
         assert got.values.tobytes() == want.values.tobytes(), variant
-    # an explicit gain does reach the other nonlinear-FFT variant
+    # the gain is not a no-op on the exact-lag nonlinear-FFT variant
     plain = compute_ambiguity("eq12c", s_surv, s_ref, scn.l_bins, scn.n, 1.0)
     gained = compute_ambiguity("eq12c", s_surv, s_ref, scn.l_bins, scn.n, 16.0)
     assert gained.values.tobytes() != plain.values.tobytes()
+
+
+@lru_cache(maxsize=None)
+def _benchmark_reports():
+    """(trial, surface, report) of the benchmark scene, four variants, seeds 0-2."""
+    scn = load_scenario(str(DEMOS / "scenario_benchmark.json"))
+    out = []
+    for seed in range(3):
+        trial = reseed_scenario(scn, seed)
+        for variant in AmbiguityVariant:
+            surface = surface_for_scenario(trial, variant)
+            out.append((trial, surface, classify(surface, trial)))
+    return tuple(out)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 11), st.floats(1e-3, 1e3).filter(lambda s: math.frexp(s)[0] != 0.5))
+def test_classify_invariant_under_non_power_of_two_scales(index, scale):
+    # a power of two scales every magnitude exactly; other scales round each one
+    trial, surface, want = _benchmark_reports()[index]
+    got = classify(replace(surface, values=surface.values * scale), trial)
+    assert (got.statuses, got.overall) == (want.statuses, want.overall)
+    assert [(pk.l, pk.p) for pk in got.peaks] == [(pk.l, pk.p) for pk in want.peaks]
+    assert got.sidelobe_floor_db == pytest.approx(want.sidelobe_floor_db, rel=0, abs=1e-9)

@@ -69,6 +69,19 @@ def test_fm_zero_deviation_is_constant():
     assert np.array_equal(s.samples, np.ones(64, dtype=complex))
 
 
+@pytest.mark.parametrize("k_f", [1e308, -1e308, math.inf, math.nan, 7.2e306])
+def test_fm_kf_past_phase_bound_rejected(k_f):
+    with pytest.raises(ContractError, match="'kf'"):
+        StereoFmConfig(duration_samples=64, k_f=k_f)
+
+
+@pytest.mark.parametrize("k_f", [7.1e306, -7.1e306])
+def test_fm_kf_at_phase_bound_gives_finite_waveform(k_f):
+    # 2*pi*|kf|*4 stays finite up to about 7.15e306; the message stays below 4
+    s = gen_stereo_fm(StereoFmConfig(duration_samples=4096, k_f=k_f, seed=1))
+    assert np.isfinite(s.samples).all()
+
+
 def test_fm_sample_rate_bound():
     # complex baseband must hold the 3 * 19 kHz top message component
     with pytest.raises(ContractError):
