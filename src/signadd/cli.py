@@ -13,9 +13,9 @@ Four subcommands, all deterministic given their flags and seeds:
 Every numeric output is CSV ('.' decimal, '\\n' line ends, full round-trip
 float formatting).  Each output references a JSON manifest written next to
 it (the manifest carries the timestamp so the CSVs themselves stay
-byte-identical across reruns).  A command renders all its outputs before
-writing any, writes them to temp names and renames them into place, so
-failures never leave partial outputs.
+byte-identical across reruns).  A command streams each CSV, slice by
+slice, into a temp name and renames its outputs into place only once every
+one is complete, so failures never leave partial outputs.
 
 The scenario file format is documented in the README ("Scenario JSON");
 its field tables live in :mod:`signadd.radar`.  Unknown or ill-typed keys fail
@@ -58,14 +58,15 @@ _TRANSFORMS = {
 
 
 def _write_outputs(prefix: str, files: dict, manifest: bytes) -> None:
-    """Write ``prefix + suffix`` for each ``{suffix: bytes}`` entry, then the
-    manifest.  Everything goes to a temp name first and is renamed into
+    """Write ``prefix + suffix`` for each ``{suffix: bytes or iterable of
+    bytes}`` entry, then the manifest; an iterable is written chunk by chunk
+    as it yields.  Everything goes to a temp name first and is renamed into
     place only once every write succeeded, so a failure leaves no output."""
     paths = [prefix + suffix for suffix in files] + [prefix + ".manifest.json"]
     try:
         for path, data in zip(paths, [*files.values(), manifest]):
             with open(path + ".tmp", "wb") as fh:
-                fh.write(data)
+                fh.writelines([data] if isinstance(data, bytes) else data)
         for path in paths:
             os.replace(path + ".tmp", path)
     finally:
@@ -209,15 +210,16 @@ def _cell_field(col: np.ndarray) -> np.ndarray:
     return _text_field(map(str, col.tolist()))
 
 
-def _csv_bytes(header: list[str], columns: list, manifest_name: str) -> bytes:
-    """CSV of equal-length columns, floats as ``repr``, the rest as ``str``, unquoted.
+def _csv_bytes(header: list[str], columns: list, manifest_name: str):
+    """CSV of equal-length columns, floats as ``repr``, the rest as ``str``,
+    unquoted, yielded as the header's bytes and then one ``bytes`` per slice.
 
     Each slice of rows becomes one byte matrix: per column its NUL-padded
     cells, then a ``,`` or ``\\n`` row; read cell by cell without the NULs
-    it is the slice's text (``DECISIONS.md`` entry 15).
+    it is the slice's text (``DECISIONS.md`` entries 15 and 17).
     """
     columns = [np.asarray(col) for col in columns]
-    parts = [f"# manifest={manifest_name}\n{','.join(header)}\n".encode()]
+    yield f"# manifest={manifest_name}\n{','.join(header)}\n".encode()
     for r0 in range(0, len(columns[0]), _CSV_SLICE_ROWS):
         blocks = []
         for j, col in enumerate(columns):
@@ -225,8 +227,7 @@ def _csv_bytes(header: list[str], columns: list, manifest_name: str) -> bytes:
             sep = b"\n" if j == len(columns) - 1 else b","
             blocks += [field, np.full((1, field.shape[1]), ord(sep), np.uint8)]
         matrix = np.vstack(blocks).T
-        parts.append(matrix[matrix != 0].tobytes())
-    return b"".join(parts)
+        yield matrix[matrix != 0].tobytes()
 
 
 def _manifest(prefix: str, command: str, args_desc: dict,
@@ -321,8 +322,9 @@ def _cmd_ambiguity(args) -> int:
     files = {
         ".surface.csv": _csv_bytes(
             ["l", "p", "magnitude_db"],
-            [np.repeat(np.arange(surface.l_bins), surface.n),
-             np.tile(np.arange(surface.n), surface.l_bins), db.ravel()], name),
+            [np.repeat(np.arange(surface.l_bins, dtype=np.int32), surface.n),
+             np.tile(np.arange(surface.n, dtype=np.int32), surface.l_bins), db.ravel()],
+            name),
         ".range_cut.csv": _csv_bytes(
             ["l", "bistatic_range_km", "magnitude_db"], [ls, range_km, row_db], name),
         ".doppler_cut.csv": _csv_bytes(

@@ -164,6 +164,11 @@ class Scenario:
             raise ContractError("Scenario: need at least one obstacle")
         if self.surv_gain <= 0 or self.transform_input_gain <= 0:
             raise ContractError("Scenario: gains must be positive")
+        # the reference is unit-modulus, so this bounds the echo sum times the gain
+        if not math.isfinite(self.surv_gain * sum(math.hypot(ob.amplitude.real, ob.amplitude.imag)
+                                                  for ob in self.obstacles)):
+            raise ContractError(f"Scenario: 'surv_gain' {self.surv_gain!r} times the summed "
+                                "amplitudes of 'obstacles' passes the float range")
         if self.n < 2 or (self.n & (self.n - 1)) != 0:
             raise ContractError(f"Scenario: n={self.n} must be a power of two")
         if self.l_bins < 1:

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -15,10 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signadd import (AmbiguitySurface, NoiseKind, NoiseModel, cli, save_scenario,
+from signadd import (AmbiguitySurface, DomainError, NoiseKind, NoiseModel, cli, save_scenario,
                      two_targets_one_clutter)
 from signadd.cli import main
-from signadd.radar import load_table_set
+from signadd.radar import load_scenario, load_table_set
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -271,6 +272,8 @@ def test_ambiguity_negative_scenario_seed_names_key(tmp_path, capsys, patch, key
     (lambda d: (d.update(surv_gain=1e308), d["obstacles"][0].update(amplitude_re=1e308)),
      "surv_gain", "eq11"),
     (lambda d: [ob.update(amplitude_re=1e308) for ob in d["obstacles"]], "obstacles", "eq11"),
+    (lambda d: d.update(noise={"kind": "eps_contaminated", "eps": 0.5, "sigma1": 1.0,
+                               "sigma2": 1e308}), "obstacles", "eq11"),
     (lambda d: d.update(noise={"kind": "awgn", "snr_db": -4000}), "snr_db", "eq11"),
     (lambda d: d.update(noise={"kind": "awgn", "snr_db": 4000}), "snr_db", "eq11"),
     (lambda d: d.update(transform_input_gain=1e306), "transform_input_gain", "eq12a"),
@@ -279,7 +282,7 @@ def test_ambiguity_negative_scenario_seed_names_key(tmp_path, capsys, patch, key
     (lambda d: d.update(tx_km=[1e308, 0]), "obstacles", "eq11"),
     (lambda d: d["fm"].update(kf=1e308), "kf", "eq11"),
 ], ids=["x_km-nan", "l_bins-fraction", "surv_gain-overflow", "echo-overflow",
-        "snr_db-underflow", "snr_db-overflow", "gain-overflow", "not-json",
+        "noise-overflow", "snr_db-underflow", "snr_db-overflow", "gain-overflow", "not-json",
         "x_km-huge", "tx_km-huge", "kf-overflow"])
 def test_ambiguity_malformed_number_names_key(tmp_path, capsys, mutate, key, variant):
     doc = json.loads(file_bytes(scene_path(tmp_path)).decode())
@@ -484,6 +487,32 @@ def test_table_set_kf_overflow_fails_before_any_trial(tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == ["scene.json", "set.json"]
 
 
+@pytest.mark.parametrize("mutate", [
+    lambda d: d.update(surv_gain=1e308),
+    lambda d: d["obstacles"][1].update(amplitude_im=-1e308),
+], ids=["surv_gain", "amplitude"])
+def test_table_set_gain_overflow_fails_before_any_trial(tmp_path, capsys, mutate):
+    # surv_gain times the summed amplitudes is bounded when the scenario is
+    # built, so the error names the scenario's path and no trial synthesises
+    # a waveform
+    scn_doc = json.loads(file_bytes(scene_path(tmp_path)).decode())
+    mutate(scn_doc)
+    set_path = tmp_path / "set.json"
+    set_path.write_text(json.dumps({
+        "environments": [{"name": "e", "scenario": scn_doc}],
+        "noises": [{"kind": "none"}],
+        "variants": ["eq11"],
+    }))
+    with mock.patch("signadd.radar.gen_stereo_fm", side_effect=AssertionError("reached")):
+        assert main(["table", "--set", str(set_path), "--seeds", "0",
+                     "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "'environments[0].scenario'" in err
+    assert "'surv_gain'" in err and "'obstacles'" in err
+    assert sorted(os.listdir(tmp_path)) == ["scene.json", "set.json"]
+
+
 @pytest.mark.parametrize("argv,message", [
     (["table", "--seeds", "0,x"], "argument --seeds: bad seed list '0,x'"),
     (["opcount", "--n-list", "8,1.5"], "argument --n-list: bad size list '8,1.5'"),
@@ -551,6 +580,46 @@ def test_negative_trial_seed_fails_cleanly(tmp_path, capsys, command, seed):
     assert [f for f in os.listdir(tmp_path) if f.startswith("o")] == []
 
 
+def test_ambiguity_failure_mid_stream_leaves_nothing(tmp_path, capsys):
+    # The third float slice fails while the surface CSV's temp file already
+    # holds the header and two slices; every temp file is removed.
+    out = str(tmp_path / "o")
+    real, calls, lines_written = cli._float_field, [], []
+
+    def failing(x):
+        calls.append(x.size)
+        if len(calls) >= 3:
+            with open(out + ".surface.csv.tmp", "rb") as fh:
+                lines_written.append(fh.read().count(b"\n"))
+            raise DomainError("third slice")
+        return real(x)
+
+    with mock.patch.object(cli, "_float_field", failing):
+        assert main(["ambiguity", "--scenario", str(DEMOS / "scenario_benchmark.json"),
+                     "--variant", "eq12a", "--svg", "--out", out]) == 1
+    assert lines_written == [2 + 2 * cli._CSV_SLICE_ROWS]
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "third slice" in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_ambiguity_memory_bounded_by_surface(tmp_path):
+    # The CSVs are streamed slice by slice, so the traced peak stays below four
+    # surfaces of complex128; holding the surface CSV's text would pass it.
+    scenario = str(DEMOS / "scenario_benchmark.json")
+    scn = load_scenario(scenario)
+    surface_bytes = scn.l_bins * scn.n * np.dtype(complex).itemsize
+    argv = ["ambiguity", "--scenario", scenario, "--variant", "eq12a", "--svg"]
+    assert main(argv + ["--out", str(tmp_path / "warm")]) == 0  # twiddle caches
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * surface_bytes
+
+
 # --- opcount -------------------------------------------------------------------------
 
 def test_opcount_values(tmp_path):
@@ -595,7 +664,7 @@ def test_csv_bytes_matches_row_writer_property(rows):
     columns = [np.array([r[0] for r in rows], dtype=np.int64),
                np.array([r[1] for r in rows]), np.array([r[2] for r in rows])]
     with mock.patch.object(cli, "_CSV_SLICE_ROWS", 5):  # several slices, the last ragged
-        assert (cli._csv_bytes(["k", "a", "b"], columns, "m.json")
+        assert (b"".join(cli._csv_bytes(["k", "a", "b"], columns, "m.json"))
                 == csv_writer_bytes(["k", "a", "b"], rows, "m.json"))
 
 
@@ -638,7 +707,7 @@ def test_csv_bytes_index_tables_match_row_writer_property(case):
     columns, rows = case
     header = [f"c{j}" for j in range(len(columns))]
     with mock.patch.object(cli, "_CSV_SLICE_ROWS", 5):  # several slices, the last ragged
-        assert (cli._csv_bytes(header, columns, "m.json")
+        assert (b"".join(cli._csv_bytes(header, columns, "m.json"))
                 == csv_writer_bytes(header, rows, "m.json"))
 
 
@@ -755,9 +824,10 @@ def test_surface_csv_equals_repr_join():
     db = surface.magnitude_db()
     want = "".join(f"{l},{p},{v!r}\n" for l, row in enumerate(db.tolist())
                    for p, v in enumerate(row))
-    got = cli._csv_bytes(["l", "p", "magnitude_db"],
-                         [np.repeat(np.arange(surface.l_bins), surface.n),
-                          np.tile(np.arange(surface.n), surface.l_bins), db.ravel()], "m.json")
+    got = b"".join(cli._csv_bytes(
+        ["l", "p", "magnitude_db"],
+        [np.repeat(np.arange(surface.l_bins), surface.n),
+         np.tile(np.arange(surface.n), surface.l_bins), db.ravel()], "m.json"))
     assert got == f"# manifest=m.json\nl,p,magnitude_db\n{want}".encode()
 
 
