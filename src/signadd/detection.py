@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import statistics
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -66,7 +66,7 @@ class DetectionReport:
     sidelobe_floor_db: float
     variant: AmbiguityVariant
     noise: str
-    seed: int
+    seed: int                           # the waveform seed: the trial seed after reseed_scenario
     peaks: tuple[Peak, ...] = ()
 
     @property
@@ -128,11 +128,7 @@ def find_peaks(surface: AmbiguitySurface, k: int) -> list[Peak]:
             break
         m *= 8
     vals = mag[ls, ps]
-    if k < vals.size:
-        # Only maxima at or above the k-th largest can make the list; the
-        # stable sort keeps their row-major order among equal magnitudes.
-        keep = np.flatnonzero(vals >= np.partition(vals, vals.size - k)[vals.size - k])
-        ls, ps, vals = ls[keep], ps[keep], vals[keep]
+    # the stable sort keeps row-major order among equal magnitudes
     order = np.argsort(-vals, kind="stable")[:k]
     return [Peak(int(ls[i]), int(ps[i]), float(vals[i])) for i in order]
 
@@ -158,7 +154,7 @@ def classify(surface: AmbiguitySurface, scenario: Scenario) -> DetectionReport:
         sidelobe_floor_db=sidelobe_floor_db(surface, scenario),
         variant=surface.variant,
         noise=scenario.noise.label(),
-        seed=scenario.noise.seed,
+        seed=scenario.fm.seed,
         peaks=tuple(peaks),
     )
 
@@ -185,8 +181,7 @@ def surface_for_scenario(scn: Scenario, variant) -> AmbiguitySurface:
 
 def run_scenario(scn: Scenario, variant, seed: int) -> DetectionReport:
     trial = reseed_scenario(scn, seed)
-    surface = surface_for_scenario(trial, variant)
-    return replace(classify(surface, trial), seed=seed)
+    return classify(surface_for_scenario(trial, variant), trial)
 
 
 def _majority(outcomes: Sequence[str]) -> str:

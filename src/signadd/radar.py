@@ -78,17 +78,15 @@ class StereoFmConfig:
     f_s: float = 200_000.0
     duration_samples: int = 4160
     k_f: float = 0.25
-    f_p: float = PILOT_HZ
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.f_s > 2.0 * (3.0 * self.f_p)):
-            raise ContractError(
-                f"StereoFmConfig: f_s={self.f_s} must exceed twice the highest "
-                f"message component {3.0 * self.f_p} Hz"
-            )
+        if not (self.f_s > 2.0 * (3.0 * PILOT_HZ)):
+            raise ContractError(f"StereoFmConfig: 'fs_hz' {self.f_s!r} must exceed twice the "
+                                f"highest message component {3.0 * PILOT_HZ} Hz")
         if self.duration_samples < 1:
-            raise ContractError("StereoFmConfig: duration_samples must be >= 1")
+            raise ContractError(f"StereoFmConfig: 'duration_samples' {self.duration_samples!r} "
+                                "must be >= 1")
         # |m| < 3.15 in gen_stereo_fm, so 4 bounds the message: the phase stays finite
         if not math.isfinite(2.0 * math.pi * abs(self.k_f) * 4.0):
             raise ContractError(f"StereoFmConfig: 'kf' {self.k_f!r} takes the phase past "
@@ -130,9 +128,10 @@ class NoiseModel:
             raise ContractError(f"NoiseModel: 'snr_db' {self.snr_db!r} must be within "
                                 f"[-{_SNR_DB_LIMIT:g}, {_SNR_DB_LIMIT:g}] dB")
         if not (0.0 <= self.eps <= 1.0):
-            raise ContractError(f"NoiseModel: eps={self.eps} must be within [0, 1]")
-        if self.sigma1 <= 0 or self.sigma2 <= 0:
-            raise ContractError("NoiseModel: sigma1 and sigma2 must be positive")
+            raise ContractError(f"NoiseModel: 'eps' {self.eps!r} must be within [0, 1]")
+        for key in ("sigma1", "sigma2"):
+            if getattr(self, key) <= 0:
+                raise ContractError(f"NoiseModel: '{key}' {getattr(self, key)!r} must be positive")
 
     def label(self) -> str:
         if self.kind is NoiseKind.NONE:
@@ -162,17 +161,18 @@ class Scenario:
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
         if len(self.obstacles) < 1:
             raise ContractError("Scenario: need at least one obstacle")
-        if self.surv_gain <= 0 or self.transform_input_gain <= 0:
-            raise ContractError("Scenario: gains must be positive")
+        for key in ("surv_gain", "transform_input_gain"):
+            if getattr(self, key) <= 0:
+                raise ContractError(f"Scenario: '{key}' {getattr(self, key)!r} must be positive")
         # the reference is unit-modulus, so this bounds the echo sum times the gain
         if not math.isfinite(self.surv_gain * sum(math.hypot(ob.amplitude.real, ob.amplitude.imag)
                                                   for ob in self.obstacles)):
             raise ContractError(f"Scenario: 'surv_gain' {self.surv_gain!r} times the summed "
                                 "amplitudes of 'obstacles' passes the float range")
         if self.n < 2 or (self.n & (self.n - 1)) != 0:
-            raise ContractError(f"Scenario: n={self.n} must be a power of two")
+            raise ContractError(f"Scenario: 'n' {self.n!r} must be a power of two")
         if self.l_bins < 1:
-            raise ContractError("Scenario: l_bins must be >= 1")
+            raise ContractError(f"Scenario: 'l_bins' {self.l_bins!r} must be >= 1")
         if self.l_bins > self.fm.duration_samples:
             raise ContractError(f"Scenario: l_bins={self.l_bins} exceeds the reference length "
                                 f"fm.duration_samples={self.fm.duration_samples}")
@@ -206,9 +206,9 @@ def gen_stereo_fm(cfg: StereoFmConfig) -> ComplexSignal:
     t = np.arange(cfg.duration_samples) / cfg.f_s
     m = (
         0.9 * (x1 + x2)
-        + 0.5 * (x1 - x2) * np.cos(2.0 * np.pi * 2.0 * cfg.f_p * t)
-        + 0.25 * np.cos(2.0 * np.pi * 3.0 * cfg.f_p * t)
-        + 0.1 * np.cos(2.0 * np.pi * cfg.f_p * t)
+        + 0.5 * (x1 - x2) * np.cos(2.0 * np.pi * 2.0 * PILOT_HZ * t)
+        + 0.25 * np.cos(2.0 * np.pi * 3.0 * PILOT_HZ * t)
+        + 0.1 * np.cos(2.0 * np.pi * PILOT_HZ * t)
     )
     phase = 2.0 * np.pi * cfg.k_f * m
     return ComplexSignal(np.cos(phase) + 1j * np.sin(phase), cfg.f_s)
@@ -261,14 +261,11 @@ def synth_surveillance(scn: Scenario, s_ref: ComplexSignal) -> ComplexSignal:
             if ob.doppler_hz != 0.0:
                 echo *= np.exp(2j * np.pi * ob.doppler_hz * np.arange(l, d) / scn.fm.f_s)
             out[l:] += echo
-        out = apply_noise(out, scn.noise)
-        if not np.isfinite(out).all():
-            raise ContractError("synth_surveillance: the echoes of 'obstacles' plus the "
-                                "noise overflow the float range")
-        out = out * scn.surv_gain
+        out = apply_noise(out, scn.noise) * scn.surv_gain
+    # Scenario bounds surv_gain times the echoes, so only the noise can overflow.
     if not np.isfinite(out).all():
-        raise ContractError(f"synth_surveillance: 'surv_gain' {scn.surv_gain!r} takes the "
-                            "surveillance signal past the float range")
+        raise ContractError(f"synth_surveillance: 'noise' ({scn.noise.label()}) times "
+                            f"'surv_gain' {scn.surv_gain!r} passes the float range")
     return ComplexSignal(out, scn.fm.f_s)
 
 
@@ -480,12 +477,15 @@ def scenario_to_dict(scn: Scenario) -> dict:
     }
 
 
-def _load_json(path):
+def _load_json(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            doc = json.load(fh)
         except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
             raise SchemaError(f"'{path}' is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SchemaError(f"'{path}' must hold a JSON object")
+    return doc
 
 
 def load_scenario(path) -> Scenario:
@@ -516,8 +516,6 @@ def load_table_set(path) -> list[tuple[str, Scenario, str]]:
     """Rows of a table-set file: its ``environments`` (each a string ``name``
     and a ``scenario``), ``noises`` and ``variants``, through ``table_rows``."""
     doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise SchemaError("table set must be a JSON object")
     _fields(doc, (), "", ("environments", "noises", "variants"))
     for key in ("environments", "noises", "variants"):
         if key not in doc:

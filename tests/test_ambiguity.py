@@ -81,6 +81,20 @@ def test_lag_contract_errors():
         lag_product_exact(np.ones(8, dtype=complex), np.ones(8, dtype=complex), -1)
     with pytest.raises(ContractError):
         lag_product_mf(np.ones(4, dtype=complex), np.ones(8, dtype=complex), 0, n=8)
+    with pytest.raises(ContractError, match="reference signal too short for n=8, lag=1"):
+        lag_product_exact(np.ones(8, dtype=complex), np.ones(6, dtype=complex), 1, n=8)
+
+
+@pytest.mark.parametrize("l_bins,surv,ref,message", [
+    (0, signal(np.ones(8)), signal(np.ones(8)), "l_bins must be >= 1"),
+    (4, signal(np.ones(8)), ComplexSignal(np.ones(8, dtype=complex), 2 * FS),
+     "sample rates differ"),
+    (4, np.ones(8, dtype=complex), np.ones(8, dtype=complex),
+     "at least one input must be a ComplexSignal"),
+], ids=["l_bins-zero", "unequal-rates", "no-sample-rate"])
+def test_compute_ambiguity_contract_errors(l_bins, surv, ref, message):
+    with pytest.raises(ContractError, match=message):
+        compute_ambiguity("eq11", surv, ref, l_bins, 8)
 
 
 @pytest.mark.parametrize("lag_fn", [lag_product_exact, lag_product_mf])

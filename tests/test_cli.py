@@ -273,7 +273,10 @@ def test_ambiguity_negative_scenario_seed_names_key(tmp_path, capsys, patch, key
      "surv_gain", "eq11"),
     (lambda d: [ob.update(amplitude_re=1e308) for ob in d["obstacles"]], "obstacles", "eq11"),
     (lambda d: d.update(noise={"kind": "eps_contaminated", "eps": 0.5, "sigma1": 1.0,
-                               "sigma2": 1e308}), "obstacles", "eq11"),
+                               "sigma2": 1e308}), "noise", "eq11"),
+    # finite noise that only the gain takes past the float range
+    (lambda d: d.update(noise={"kind": "eps_contaminated", "eps": 0.5, "sigma1": 1.0,
+                               "sigma2": 1e306}), "noise", "eq11"),
     (lambda d: d.update(noise={"kind": "awgn", "snr_db": -4000}), "snr_db", "eq11"),
     (lambda d: d.update(noise={"kind": "awgn", "snr_db": 4000}), "snr_db", "eq11"),
     (lambda d: d.update(transform_input_gain=1e306), "transform_input_gain", "eq12a"),
@@ -281,9 +284,29 @@ def test_ambiguity_negative_scenario_seed_names_key(tmp_path, capsys, patch, key
     (lambda d: d["obstacles"][0].update(x_km=1e306), "obstacles", "eq11"),
     (lambda d: d.update(tx_km=[1e308, 0]), "obstacles", "eq11"),
     (lambda d: d["fm"].update(kf=1e308), "kf", "eq11"),
+    (lambda d: d.update(surv_gain=0), "surv_gain", "eq11"),
+    (lambda d: d.update(transform_input_gain=-1), "transform_input_gain", "eq12a"),
+    (lambda d: d.update(n=6), "n", "eq11"),
+    (lambda d: d.update(l_bins=0), "l_bins", "eq11"),
+    (lambda d: d["fm"].update(duration_samples=0), "duration_samples", "eq11"),
+    (lambda d: d["fm"].update(fs_hz=1000.0), "fs_hz", "eq11"),
+    (lambda d: d.update(noise={"kind": "eps_contaminated", "eps": 2.0, "sigma1": 1.0,
+                               "sigma2": 1.0}), "eps", "eq11"),
+    (lambda d: d.update(noise={"kind": "eps_contaminated", "eps": 0.5, "sigma1": 0,
+                               "sigma2": 1.0}), "sigma1", "eq11"),
+    (lambda d: d.update(noise={"kind": "eps_contaminated", "eps": 0.5, "sigma1": 1.0,
+                               "sigma2": -1.0}), "sigma2", "eq11"),
+    (lambda d: "[1]", "{path}", "eq11"),  # a document that is not an object
+    (lambda d: d.update(fm=[1]), "fm", "eq11"),
+    (lambda d: d.update(obstacles=[]), "obstacles", "eq11"),
+    (lambda d: d.update(tx_km=[0, 10, 0]), "tx_km", "eq11"),
 ], ids=["x_km-nan", "l_bins-fraction", "surv_gain-overflow", "echo-overflow",
-        "noise-overflow", "snr_db-underflow", "snr_db-overflow", "gain-overflow", "not-json",
-        "x_km-huge", "tx_km-huge", "kf-overflow"])
+        "noise-overflow", "noise-gain-overflow", "snr_db-underflow", "snr_db-overflow",
+        "gain-overflow", "not-json", "x_km-huge", "tx_km-huge", "kf-overflow",
+        "surv_gain-zero", "transform_input_gain-negative", "n-not-power-of-two", "l_bins-zero",
+        "duration_samples-zero", "fs_hz-too-low", "eps-above-one", "sigma1-zero",
+        "sigma2-negative", "not-an-object", "fm-not-an-object", "obstacles-empty",
+        "tx_km-three-numbers"])
 def test_ambiguity_malformed_number_names_key(tmp_path, capsys, mutate, key, variant):
     doc = json.loads(file_bytes(scene_path(tmp_path)).decode())
     text = mutate(doc)
@@ -450,6 +473,17 @@ def test_table_set_schema_errors_name_key(tmp_path, capsys, patch, key):
     assert sorted(os.listdir(tmp_path)) == ["scene.json", "set.json"]
 
 
+@pytest.mark.parametrize("text", ["[]", '"set"'], ids=["list", "string"])
+def test_table_set_not_an_object_names_file(tmp_path, capsys, text):
+    set_path = tmp_path / "set.json"
+    set_path.write_text(text)
+    assert main(["table", "--set", str(set_path), "--seeds", "0",
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"'{set_path}' must hold a JSON object" in err
+    assert os.listdir(tmp_path) == ["set.json"]
+
+
 def test_table_set_scenario_contract_error_names_path(tmp_path, capsys):
     # a Scenario-level check, not a single field: l_bins past the reference
     scn_doc = json.loads(Path(short_benchmark_scene(tmp_path, 121)).read_text())
@@ -541,12 +575,45 @@ def test_empty_int_list_names_flag(tmp_path, capsys, argv, flag):
     (["transform", "--kind", "dft", "--tone", "0", "--n", "0"], "--n"),
     (["opcount", "--n-list", "0"], "--n-list"),
     (["opcount", "--n-list", "8,-2"], "--n-list"),
-], ids=["transform-negative", "transform-zero", "opcount-zero", "opcount-negative"])
+    (["table", "--trials", "0"], "--trials"),
+], ids=["transform-negative", "transform-zero", "opcount-zero", "opcount-negative",
+        "table-trials-zero"])
 def test_size_below_one_names_flag(tmp_path, capsys, argv, flag):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"{flag} " in err and ">= 1" in err
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["transform", "--kind", "fft", "--tone", "3"], "--tone requires --n"),
+    (["transform", "--kind", "fft", "--input", "{sig}", "--n", "4"],
+     "--n 4 does not match input length 2"),
+    (["table", "--seeds", "0,1", "--trials", "3"], "--trials 3 exceeds the 2 seeds given"),
+], ids=["tone-without-n", "n-not-input-length", "trials-above-seeds"])
+def test_flag_mismatch_names_flag(tmp_path, capsys, argv, message):
+    sig = tmp_path / "sig.csv"
+    sig.write_text("re,im\n1,2\n3,4\n")
+    argv = [a.format(sig=sig) for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+    assert os.listdir(tmp_path) == ["sig.csv"]
+
+
+@pytest.mark.parametrize("body,message", [
+    ("1,2\n3,4\n", "must have a 're,im' header row"),
+    ("", "must have a 're,im' header row"),
+    ("re,im\n# no samples\n\n", "has no samples"),
+], ids=["no-header", "empty", "header-only"])
+def test_transform_input_without_samples_names_file(tmp_path, capsys, body, message):
+    path = tmp_path / "sig.csv"
+    path.write_text(body)
+    assert main(["transform", "--kind", "fft", "--input", str(path),
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{path} {message}" in err
+    assert os.listdir(tmp_path) == ["sig.csv"]
 
 
 @pytest.mark.parametrize("body,line,message", [

@@ -414,6 +414,13 @@ def test_run_table_single_trial_equals_classify():
     assert rows[0].trials == 1
 
 
+def test_report_seed_is_the_trial_seed():
+    scn = two_targets_one_clutter(eps_contaminated(), n=64, l_bins=64)
+    trial = reseed_scenario(scn, 4)
+    report = classify(surface_for_scenario(trial, "eq11"), trial)
+    assert report.seed == run_scenario(scn, "eq11", 4).seed == 4
+
+
 def test_run_table_deterministic():
     scn = _tiny_scene(NoiseModel(kind=NoiseKind.AWGN, snr_db=3.0))
     a = run_table([("2t1c", scn, "eq12b")], seeds=[0, 1])
