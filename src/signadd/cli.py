@@ -85,19 +85,19 @@ def _split(a: np.ndarray):
     return hi, a - hi
 
 
-# 10**j exactly (floats for j < 23, integers for j < 20), and the split of each
-# float, indexed by 16 - E for the exponents E = -5..16 a log10 estimate gives.
+# 10**j exactly (floats for j < 23, integers for j < 20), the floats indexed by
+# 16 - E for the exponents E = -5..16 a log10 estimate gives.
 _SCALE = np.array([float(10**j) for j in range(22)])
-_SCALE_HI, _SCALE_LO = _split(_SCALE)
 _POW10 = np.uint64(10) ** np.arange(20, dtype=np.uint64)
 _POW10_32 = _POW10[:10].astype(np.uint32)
+_EXPONENT_BITS = np.uint64(0x7FF << 52)  # of a double
 
 
 def _scaled(a: np.ndarray, e: np.ndarray):
     """``a * 10**(16-e)`` exactly, as Dekker's two-product ``hi + lo``."""
-    hi = a * _SCALE[16 - e]
-    ah, al = _split(a)
-    sh, sl = _SCALE_HI[16 - e], _SCALE_LO[16 - e]
+    scale = _SCALE[16 - e]
+    hi = a * scale
+    (ah, al), (sh, sl) = _split(a), _split(scale)
     return hi, al * sl - (((hi - ah * sh) - al * sh) - ah * sl)
 
 
@@ -114,27 +114,43 @@ def _exponent(a: np.ndarray):
     return e, hi, lo
 
 
-def _digits(v: np.ndarray, width: int, lead: bool) -> np.ndarray:
-    """Characters of the ``width`` decimal digits of uint64 ``v < 10**width``
-    as a ``(width, len(v))`` uint8 array, from floor division by scalar
-    powers of ten, nine digits at a time in uint32.  Leading zeros
-    (``lead``) or trailing zeros become NUL, except the last or first digit."""
-    d = np.empty((width, v.size), np.uint8)
-    for stop in range(width, 0, -9):
-        high = v // _POW10[9]
-        chunk, v, w = (v - high * _POW10[9]).astype(np.uint32), high, min(stop, 9)
-        above = np.uint32(0)
+def _digits(v: np.ndarray, d: np.ndarray, lead: bool) -> None:
+    """Write the characters of the ``len(d)`` decimal digits of uint64
+    ``v < 10**len(d)`` into the rows of uint8 ``d``, one column per cell,
+    from floor division by scalar powers of ten, nine digits at a time in
+    uint32.  Leading zeros (``lead``) or trailing zeros become NUL, except
+    the last or first digit."""
+    for stop in range(len(d), 0, -9):
+        w, low = min(stop, 9), v
+        if stop > 9:  # the digits above these nine remain in v
+            v = v // _POW10[9]
+            low = low - v * _POW10[9]
+        chunk = low.astype(np.uint32)
+        # the quotients' low bytes; mod 256 a digit is its quotient less ten
+        # times the quotient above it
+        block = d[stop - w : stop]
         for j in range(w):
-            q = chunk // _POW10_32[w - 1 - j]
-            d[stop - w + j] = q - above * np.uint32(10)
-            above = q
+            block[j] = chunk // _POW10_32[w - 1 - j]
+        block[1:] -= block[:-1] * np.uint8(10)
     keep = d != 0  # then: a nonzero digit lies at or before (lead) or after it
     keep[-1 if lead else 0] = True
-    for j in range(1, width) if lead else range(width - 2, -1, -1):
+    for j in range(1, len(d)) if lead else range(len(d) - 2, -1, -1):
         keep[j] |= keep[j - 1 if lead else j + 1]
     d += 48
     d *= keep
-    return d
+
+
+def _signed_field(neg: np.ndarray, v: np.ndarray, rows_after: int):
+    """An uninitialised uint8 field, one column per cell, whose rows are a
+    ``-`` row (only where some cell is negative), the digits of uint64 ``v``
+    (leading zeros NUL) and ``rows_after`` rows; and the index of the first
+    of those."""
+    sign, width = int(neg.any()), len(str(v.max()))
+    field = np.empty((sign + width + rows_after, v.size), np.uint8)
+    if sign:
+        field[0] = neg * np.uint8(45)
+    _digits(v, field[sign : sign + width], lead=True)
+    return field, sign + width
 
 
 def _shortest(n: np.ndarray, frac: np.ndarray, half_ulp: np.ndarray) -> np.ndarray:
@@ -171,16 +187,18 @@ def _float_field(x: np.ndarray) -> np.ndarray:
     # hi is an even integer (its ulp is at least 2), so adding rint(lo) rounds half-even.
     rlo = np.rint(lo)
     n = (hi.astype(np.int64) + rlo.astype(np.int64)).view(np.uint64)
-    c = _shortest(n, lo - rlo, np.spacing(a) * _SCALE[16 - e] * 0.5)
+    # half an ulp of each (normal) a: its exponent less 53, over a zero mantissa
+    half_ulp = ((a.view(np.uint64) & _EXPONENT_BITS) - np.uint64(53 << 52)).view(np.float64)
+    c = _shortest(n, lo - rlo, half_ulp * _SCALE[16 - e])
     ip = a.astype(np.uint64)  # the integer part of c * 10**(e-16) (entry 15)
-    # the fraction's digits, moved to the top of 17 columns (ip is 0 where e < 0)
-    tail = (c - ip * _POW10[np.minimum(16 - e, 19)]) * _POW10[np.maximum(e + 1, 0)]
-    field = np.vstack([
-        np.where(x < 0, np.uint8(45), np.uint8(0)),
-        _digits(ip, len(str(ip.max())), lead=True),
-        np.full(x.size, 46, np.uint8),
-        np.where(np.arange(3)[:, None] < -e - 1, np.uint8(48), np.uint8(0)),
-        _digits(tail, 17, lead=False)])
+    # the fraction's digits, moved to the top of 17 columns: c * 10**(e+1) less
+    # ip * 10**17, below 10**17 and so exact in wrapping uint64 (ip is 0 where e < 0)
+    tail = c * _POW10[np.maximum(e + 1, 0)] - ip * _POW10[17]
+    zeros = max(0, -1 - int(e.min()))  # rows of leading fraction zeros some cell needs
+    field, dot = _signed_field(x < 0, ip, 1 + zeros + 17)
+    field[dot] = 46
+    field[dot + 1 : -17] = np.where(np.arange(zeros)[:, None] < -e - 1, np.uint8(48), np.uint8(0))
+    _digits(tail, field[-17:], lead=False)
     rows = np.flatnonzero(~ok)
     if rows.size:
         reps = _text_field(map(repr, x[rows].tolist()))
@@ -204,9 +222,7 @@ def _cell_field(col: np.ndarray) -> np.ndarray:
         return _float_field(col.astype(np.float64))
     if col.dtype.kind in "iu":
         u = col.astype(np.uint64)  # two's complement for negative cells
-        mag = np.where(col < 0, np.uint64(0) - u, u)
-        return np.vstack([np.where(col < 0, np.uint8(45), np.uint8(0)),
-                          _digits(mag, len(str(mag.max())), lead=True)])
+        return _signed_field(col < 0, np.where(col < 0, np.uint64(0) - u, u), 0)[0]
     return _text_field(map(str, col.tolist()))
 
 
@@ -214,19 +230,21 @@ def _csv_bytes(header: list[str], columns: list, manifest_name: str):
     """CSV of equal-length columns, floats as ``repr``, the rest as ``str``,
     unquoted, yielded as the header's bytes and then one ``bytes`` per slice.
 
-    Each slice of rows becomes one byte matrix: per column its NUL-padded
-    cells, then a ``,`` or ``\\n`` row; read cell by cell without the NULs
-    it is the slice's text (``DECISIONS.md`` entries 15 and 17).
+    Each slice of rows becomes one row-major byte matrix: per column its
+    NUL-padded cells, then a ``,`` or ``\\n``; without the NULs it is the
+    slice's text (``DECISIONS.md`` entries 15, 17 and 18).
     """
     columns = [np.asarray(col) for col in columns]
     yield f"# manifest={manifest_name}\n{','.join(header)}\n".encode()
     for r0 in range(0, len(columns[0]), _CSV_SLICE_ROWS):
-        blocks = []
-        for j, col in enumerate(columns):
-            field = _cell_field(col[r0 : r0 + _CSV_SLICE_ROWS])
-            sep = b"\n" if j == len(columns) - 1 else b","
-            blocks += [field, np.full((1, field.shape[1]), ord(sep), np.uint8)]
-        matrix = np.vstack(blocks).T
+        fields = [_cell_field(col[r0 : r0 + _CSV_SLICE_ROWS]) for col in columns]
+        matrix = np.empty((fields[0].shape[1], sum(len(f) + 1 for f in fields)), np.uint8)
+        end = 0
+        for field in fields:
+            matrix[:, end : end + len(field)] = field.T
+            matrix[:, end + len(field)] = ord(",")
+            end += len(field) + 1
+        matrix[:, -1] = ord("\n")
         yield matrix[matrix != 0].tobytes()
 
 
@@ -285,13 +303,17 @@ def _cmd_transform(args) -> int:
         if args.n is not None and args.n != x.size:
             raise ContractError(
                 f"transform: --n {args.n} does not match input length {x.size}")
-    spectrum = _TRANSFORMS[args.kind](x)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        spectrum = _TRANSFORMS[args.kind](x)
+        mag = spectrum.magnitude()
+    if not np.isfinite(mag).all():  # a bin that is not finite, or too large to take |X|
+        raise DomainError(f"transform: the {args.kind} spectrum of {args.input} "
+                          "overflows the float range")
     name, manifest = _manifest(
         args.out, "transform",
         {"kind": args.kind, "n": int(x.size), "tone": args.tone,
          "input": args.input},
         spectrum.op_counts)
-    mag = spectrum.magnitude()
     files = {".spectrum.csv": _csv_bytes(
         ["k", "re", "im", "magnitude"],
         [np.arange(x.size), spectrum.bins.real, spectrum.bins.imag, mag], name)}
@@ -452,6 +474,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        folder = os.path.dirname(args.out) or "."
+        if not os.path.isdir(folder):  # checked before anything is computed
+            raise ContractError(f"--out {args.out}: {folder} is not an existing directory")
         return args.func(args)
     except (ContractError, DomainError, SchemaError, OSError) as exc:
         print(f"signadd {args.command}: error: {exc}", file=sys.stderr)

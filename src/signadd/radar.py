@@ -532,6 +532,9 @@ def load_table_set(path) -> list[tuple[str, Scenario, str]]:
         _fields(env, (), f"environments[{i}].", ("name", "scenario"))
         if not isinstance(env["name"], str):
             raise SchemaError(f"key 'environments[{i}].name' must be a string")
+        if isinstance(env["scenario"], dict) and "noise" in env["scenario"]:
+            raise SchemaError(f"key 'environments[{i}].scenario.noise' is not allowed: "
+                              "the table set's 'noises' sets the noise of every row")
         envs.append((env["name"],
                      _scenario_from_dict(env["scenario"], f"environments[{i}].scenario.")))
     noises = [noise_from_dict(nd, f"noises[{i}]") for i, nd in enumerate(doc["noises"])]

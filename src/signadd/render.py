@@ -40,7 +40,7 @@ def line_svg(x, y, title: str, xlabel: str, ylabel: str,
     ph = _H - _MT - _MB
     px = _ML + (x - x0) / (x1 - x0) * pw
     py = _MT + (y1 - y) / (y1 - y0) * ph
-    points = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
+    points = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px.tolist(), py.tolist()))
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',

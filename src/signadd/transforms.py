@@ -250,13 +250,21 @@ def _require_pow2(n: int, what: str) -> int:
     return int(np.log2(n))
 
 
+def _twiddle_indices(rows: np.ndarray, n: int) -> np.ndarray:
+    """``(k * m) mod n`` for the rows ``k`` and every column ``m < n``: the
+    twiddle indices of a block of DFT matrix rows.  A power-of-two ``n``
+    takes the mask ``n - 1``, equal to ``% n`` for these non-negative
+    products and cheaper."""
+    km = np.outer(rows, np.arange(n))
+    return km & (n - 1) if (n & (n - 1)) == 0 else km % n
+
+
 def dft_exact(x) -> Spectrum:
     """Direct evaluation of ``X[k] = sum_n x[n] * W^(kn)``."""
     v = _as_samples(x)
     n = v.size
     tbl = twiddle_table(n)
-    ks = np.arange(n)
-    bins = np.concatenate([tbl.entries[np.outer(rows, ks) % n] @ v for rows in _row_blocks(n, n)])
+    bins = np.concatenate([tbl.entries[_twiddle_indices(rows, n)] @ v for rows in _row_blocks(n, n)])
     return Spectrum(bins, TransformKind.DFT_EXACT)
 
 
@@ -289,9 +297,8 @@ def ndft(x) -> Spectrum:
     tbl = twiddle_table(n)
     parts = _laid_parts(v, 2)
     bins = np.empty(n, dtype=complex)
-    ks = np.arange(n)
     for rows in _row_blocks(n, n):
-        t = _mf_complex_laid(parts, tbl.entries[np.outer(rows, ks) % n])
+        t = _mf_complex_laid(parts, tbl.entries[_twiddle_indices(rows, n)])
         bins[rows] = np.cumsum(t, axis=1, out=t)[:, -1]
     return Spectrum(bins, TransformKind.NDFT)
 

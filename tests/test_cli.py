@@ -6,6 +6,7 @@ import io
 import json
 import os
 import tracemalloc
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -41,6 +42,14 @@ def scene_path(tmp_path, noise=None, name="scene.json"):
     path = tmp_path / name
     save_scenario(two_targets_one_clutter(noise=noise), path)
     return str(path)
+
+
+def table_set_scene(path):
+    """A saved scenario's document for a table set's environment, without
+    its noise: the table set's ``noises`` sets the noise of every row."""
+    doc = json.loads(file_bytes(path).decode())
+    del doc["noise"]
+    return doc
 
 
 # --- transform -----------------------------------------------------------------
@@ -116,6 +125,19 @@ def test_transform_input_not_utf8_fails_cleanly(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and str(path) in err and "UTF-8" in err
     assert os.listdir(tmp_path) == ["latin.csv"]
+
+
+@pytest.mark.parametrize("kind", ["ndft", "dft", "nfft", "fft"])
+def test_transform_overflowing_spectrum_names_file(tmp_path, capsys, kind):
+    path = tmp_path / "big.csv"
+    path.write_text("re,im\n1e308,-1e308\n1e308,1e308\n-1e308,1e308\n1e308,1e308\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warnings included
+        assert main(["transform", "--kind", kind, "--input", str(path), "--svg",
+                     "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{kind} spectrum of {path} overflows" in err
+    assert os.listdir(tmp_path) == ["big.csv"]
 
 
 def test_transform_svg(tmp_path):
@@ -353,7 +375,7 @@ def test_ambiguity_l_bins_past_reference_names_key(tmp_path, capsys):
 # --- table ----------------------------------------------------------------------
 
 def test_table_small_set(tmp_path):
-    scn_doc = json.loads(file_bytes(scene_path(tmp_path)).decode())
+    scn_doc = table_set_scene(scene_path(tmp_path))
     table_set = {
         "environments": [{"name": "2t1c", "scenario": scn_doc}],
         "noises": [
@@ -377,7 +399,7 @@ def test_table_small_set(tmp_path):
 
 
 def test_table_trials_truncates_seeds(tmp_path):
-    scn_doc = json.loads(file_bytes(scene_path(tmp_path)).decode())
+    scn_doc = table_set_scene(scene_path(tmp_path))
     table_set = {
         "environments": [{"name": "e", "scenario": scn_doc}],
         "noises": [{"kind": "none"}],
@@ -415,7 +437,7 @@ def test_table_set_example_loads():
 
 
 def test_table_quotes_environment_names(tmp_path):
-    scn_doc = json.loads(file_bytes(scene_path(tmp_path)).decode())
+    scn_doc = table_set_scene(scene_path(tmp_path))
     set_path = tmp_path / "set.json"
     set_path.write_text(json.dumps({
         "environments": [{"name": 'far, "quiet"', "scenario": scn_doc}],
@@ -452,12 +474,14 @@ def test_table_bad_set_file(tmp_path, capsys):
     ({"variants": []}, "variants"),
     ({"environments": []}, "environments"),
     ({"noises": []}, "noises"),
+    ({"environments": [{"name": "e", "scenario": {"noise": {"kind": "awgn", "snr_db": -20}}}]},
+     "environments[0].scenario.noise"),
 ], ids=["noise-key-typo", "awgn-without-snr", "unknown-noise-kind", "unknown-variant",
         "noises-not-a-list", "environment-without-scenario", "scenario-key-path",
         "unknown-top-level-key", "unknown-environment-key", "non-string-name",
-        "empty-variants", "empty-environments", "empty-noises"])
+        "empty-variants", "empty-environments", "empty-noises", "scenario-noise"])
 def test_table_set_schema_errors_name_key(tmp_path, capsys, patch, key):
-    scn_doc = json.loads(file_bytes(scene_path(tmp_path)).decode())
+    scn_doc = table_set_scene(scene_path(tmp_path))
     table_set = {
         "environments": [{"name": "e", "scenario": scn_doc}],
         "noises": [{"kind": "none"}],
@@ -486,7 +510,7 @@ def test_table_set_not_an_object_names_file(tmp_path, capsys, text):
 
 def test_table_set_scenario_contract_error_names_path(tmp_path, capsys):
     # a Scenario-level check, not a single field: l_bins past the reference
-    scn_doc = json.loads(Path(short_benchmark_scene(tmp_path, 121)).read_text())
+    scn_doc = table_set_scene(short_benchmark_scene(tmp_path, 121))
     set_path = tmp_path / "set.json"
     set_path.write_text(json.dumps({
         "environments": [{"name": "e", "scenario": scn_doc}],
@@ -504,7 +528,7 @@ def test_table_set_scenario_contract_error_names_path(tmp_path, capsys):
 def test_table_set_kf_overflow_fails_before_any_trial(tmp_path, capsys):
     # checked when the waveform config is built, so the error names the key's
     # path and no trial synthesises a waveform
-    scn_doc = json.loads(file_bytes(scene_path(tmp_path)).decode())
+    scn_doc = table_set_scene(scene_path(tmp_path))
     scn_doc["fm"]["kf"] = 1e308
     set_path = tmp_path / "set.json"
     set_path.write_text(json.dumps({
@@ -529,7 +553,7 @@ def test_table_set_gain_overflow_fails_before_any_trial(tmp_path, capsys, mutate
     # surv_gain times the summed amplitudes is bounded when the scenario is
     # built, so the error names the scenario's path and no trial synthesises
     # a waveform
-    scn_doc = json.loads(file_bytes(scene_path(tmp_path)).decode())
+    scn_doc = table_set_scene(scene_path(tmp_path))
     mutate(scn_doc)
     set_path = tmp_path / "set.json"
     set_path.write_text(json.dumps({
@@ -687,6 +711,28 @@ def test_ambiguity_memory_bounded_by_surface(tmp_path):
     assert peak < 4 * surface_bytes
 
 
+def unreachable(*args, **kwargs):
+    raise AssertionError("computed before --out was checked")
+
+
+@pytest.mark.parametrize("argv,patch", [
+    (["transform", "--kind", "fft", "--tone", "1", "--n", "8"],
+     lambda: mock.patch.dict(cli._TRANSFORMS, dict.fromkeys(cli._TRANSFORMS, unreachable))),
+    (["ambiguity", "--scenario", str(DEMOS / "scenario_benchmark.json"), "--variant", "eq11"],
+     lambda: mock.patch("signadd.detection.surface_for_scenario", unreachable)),
+    (["table", "--seeds", "0"], lambda: mock.patch.object(cli, "run_table", unreachable)),
+    (["opcount", "--n-list", "2,4"],
+     lambda: mock.patch.dict(cli._TRANSFORMS, dict.fromkeys(cli._TRANSFORMS, unreachable))),
+], ids=["transform", "ambiguity", "table", "opcount"])
+def test_out_in_missing_directory_fails_before_computing(tmp_path, capsys, argv, patch):
+    missing = tmp_path / "missing"
+    with patch():
+        assert main(argv + ["--out", str(missing / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"--out {missing / 'o'}: {missing} is not" in err
+    assert os.listdir(tmp_path) == []
+
+
 # --- opcount -------------------------------------------------------------------------
 
 def test_opcount_values(tmp_path):
@@ -721,7 +767,11 @@ def csv_writer_bytes(header, rows, manifest_name):
 CELL_FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, -300.0, 5e-324, -2.5e-310, 1e308, -1e308, 4096.0]),
     st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(1e-4, 1.0, exclude_max=True),  # leading fraction zeros
     st.integers(-2**53, 2**53).map(float))
+# Cells repr writes, beside the computed ones: zeros, subnormals, below 1e-4,
+# powers of two (0.0625 and 2**-10 with leading fraction zeros) and 1e16.
+REPR_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, 9.5e-05, -0.0625, 2.0**-10, 0.5, 1e16])
 
 
 @settings(max_examples=60, deadline=None)
@@ -740,12 +790,15 @@ def csv_columns(draw):
     """Equal-length columns and their rows: bin index columns (integers in
     0..rows-1, with repeats and at the bound), the surface's repeat/tile
     grid, integers past the bound, negative or up to +-2**62, floats and
-    string columns.  Zero rows are included."""
+    string columns.  Per 5-row slice, ``signs`` integers are all non-negative
+    or hold a negative, and ``fraction`` floats need the same 0-3 leading
+    fraction zeros, some cells written by ``repr``.  Zero rows are included."""
     a, b = draw(st.integers(0, 4)), draw(st.integers(1, 5))
     n = a * b
     kinds = draw(st.lists(st.sampled_from(
-        ["index", "past_bound", "wide", "float", "string", "repeat", "tile"]),
-        min_size=1, max_size=5))
+        ["index", "past_bound", "wide", "float", "string", "repeat", "tile", "signs",
+         "fraction"]), min_size=1, max_size=5))
+    slices = [range(r0, min(r0 + 5, n)) for r0 in range(0, n, 5)]
     columns = []
     for kind in kinds:
         if kind in ("index", "past_bound") and n:
@@ -761,6 +814,23 @@ def csv_columns(draw):
         elif kind == "string":
             words = st.sampled_from(["ndft", "nfft", "fft", "dft", "yes", "no"])
             col = np.array(draw(st.lists(words, min_size=n, max_size=n)), dtype=str)
+        elif kind == "signs":
+            vals = []
+            for rows in slices:
+                mixed = draw(st.booleans())
+                vals += draw(st.lists(st.integers(-2**62 if mixed else 0, 2**62),
+                                      min_size=len(rows), max_size=len(rows)))
+                if mixed:
+                    vals[draw(st.sampled_from(rows))] = -draw(st.integers(1, 2**62))
+            col = np.array(vals, dtype=np.int64)
+        elif kind == "fraction":
+            vals = []
+            for rows in slices:
+                zeros = draw(st.integers(0, 3))
+                cells = st.floats(10.0 ** -(zeros + 1), 10.0 ** -zeros, exclude_max=True)
+                vals += draw(st.lists(st.one_of(cells, cells.map(lambda v: -v), REPR_FLOATS),
+                                      min_size=len(rows), max_size=len(rows)))
+            col = np.array(vals, dtype=float)
         else:
             col = np.array(draw(st.lists(st.integers(-2**62, 2**62), min_size=n, max_size=n)),
                            dtype=np.int64)
@@ -918,7 +988,7 @@ def test_cli_options_pinned():
 def test_rerun_byte_identical(tmp_path):
     scn = scene_path(tmp_path, NoiseModel(
         kind=NoiseKind.EPS_CONTAMINATED, eps=0.9, sigma1=0.25, sigma2=10.0))
-    scn_doc = json.loads(file_bytes(scn).decode())
+    scn_doc = table_set_scene(scn)
     set_path = tmp_path / "set.json"
     set_path.write_text(json.dumps({
         "environments": [{"name": "e", "scenario": scn_doc}],

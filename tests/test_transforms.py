@@ -222,6 +222,23 @@ def test_row_blocks_do_not_change_bins(n, rows, monkeypatch):
         assert dft_exact(x).bins.tobytes() == (entries @ x).tobytes()
 
 
+@pytest.mark.parametrize("n", [3, 6, 12, 64, 2048])
+def test_direct_transforms_match_modulo_twiddle_indices(n):
+    # A power-of-two N indexes the twiddles with the mask N - 1; the bins equal
+    # those of the (k*m) % N DFT-matrix exponents over the same row blocks.
+    x = random_signal(rng(), n)
+    ks, entries, parts = np.arange(n), twiddle_table(n).entries, transforms._laid_parts(x, 2)
+    dft_rows, ndft_rows = [], []
+    for rows in transforms._row_blocks(n, n):
+        w = entries[np.outer(rows, ks) % n]
+        dft_rows.append(w @ x)
+        ndft_rows.append(np.cumsum(transforms._mf_complex_laid(parts, w), axis=1)[:, -1])
+    assert dft_exact(x).bins.tobytes() == np.concatenate(dft_rows).tobytes()
+    assert ndft(x).bins.tobytes() == np.concatenate(ndft_rows).tobytes()
+    if n <= 64:
+        assert ndft(x).bins.tobytes() == ndft_double_loop(x).tobytes()
+
+
 def test_ndft_peak_property_all_bins():
     # every pure tone peaks at its own bin, exhaustively at N = 64
     n = 64
