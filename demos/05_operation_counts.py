@@ -13,7 +13,6 @@ from signadd import fft_exact, ndft, nfft, unit_tone
 from signadd.transforms import (
     fft_complex_muls,
     ndft_complex_ops,
-    nfft_butterflies,
     nfft_complex_ops,
 )
 
@@ -27,7 +26,7 @@ for n in (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024):
     assert nd == ndft_complex_ops(n) and nf == nfft_complex_ops(n)
     assert fm == fft_complex_muls(n)
     print(f"{n:5d} {nd:10d} {n * n:10d} {nf:10d} "
-          f"{n * (int(np.log2(n)) + 1):10d} {nfft_butterflies(n):12d} {fm:9d}")
+          f"{n * (int(np.log2(n)) + 1):10d} {fft_complex_muls(n):12d} {fm:9d}")
 
 n = 1024
 nf = nfft_complex_ops(n)

@@ -27,8 +27,8 @@ processing, not a cosmetic scale; an exact transform would only rescale.
 
 Rows are mutually independent, so ``compute_ambiguity`` transforms them in
 blocks of any size with bit-identical results.  A surface stores only its
-values, variant and sample rate; its magnitude is computed once, and its
-bin sizes and op counts (``surface_cost``) are derived from them.
+values, variant and sample rate; its magnitude and peak are computed once,
+and its bin sizes and op counts (``surface_cost``) are derived from them.
 """
 
 from __future__ import annotations
@@ -56,6 +56,15 @@ __all__ = [
 
 SPEED_OF_LIGHT = 299_792_458.0
 DB_FLOOR_CAP = -300.0  # dB level given to zero cells and to all-zero surfaces
+
+
+def _decibels(mag: np.ndarray, peak) -> np.ndarray:
+    """Magnitudes in dB relative to ``peak``, clamped at ``DB_FLOOR_CAP``."""
+    if peak <= 0.0:
+        return np.full(mag.shape, DB_FLOOR_CAP)
+    with np.errstate(divide="ignore"):
+        db = 20.0 * np.log10(mag / peak)
+    return np.maximum(db, DB_FLOOR_CAP)
 
 
 class AmbiguityVariant(str, Enum):
@@ -112,14 +121,12 @@ class AmbiguitySurface:
         """``|values|``, computed once per surface and read-only."""
         return self._magnitude
 
+    @cached_property
+    def _peak(self) -> np.float64:
+        return self.magnitude().max()
+
     def _db(self, mag: np.ndarray) -> np.ndarray:
-        """Magnitudes in dB relative to the surface's peak, clamped at ``DB_FLOOR_CAP``."""
-        peak = self.magnitude().max()
-        if peak <= 0.0:
-            return np.full(mag.shape, DB_FLOOR_CAP)
-        with np.errstate(divide="ignore"):
-            db = 20.0 * np.log10(mag / peak)
-        return np.maximum(db, DB_FLOOR_CAP)
+        return _decibels(mag, self._peak)
 
     def magnitude_db(self) -> np.ndarray:
         return self._db(self.magnitude())

@@ -39,12 +39,12 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .ambiguity import AmbiguityVariant
+from .ambiguity import AmbiguityVariant, _decibels
 from .detection import DEFAULT_SEEDS, default_table_rows, run_table
 from .operator import ContractError, DomainError, OpCountReport
 from .radar import SchemaError, load_scenario, load_table_set, reseed_scenario, scenario_hash
 from .render import line_svg
-from .transforms import (dft_exact, fft_exact, ndft, nfft, nfft_butterflies, transform_cost,
+from .transforms import (dft_exact, fft_complex_muls, fft_exact, ndft, nfft, transform_cost,
                          unit_tone)
 
 __all__ = ["main"]
@@ -228,16 +228,23 @@ def _cell_field(col: np.ndarray) -> np.ndarray:
 
 def _csv_bytes(header: list[str], columns: list, manifest_name: str):
     """CSV of equal-length columns, floats as ``repr``, the rest as ``str``,
-    unquoted, yielded as the header's bytes and then one ``bytes`` per slice.
+    unquoted, yielded as the header's bytes and then one ``bytes`` per slice."""
+    columns = [np.asarray(col) for col in columns]
+    starts = range(0, len(columns[0]), _CSV_SLICE_ROWS)
+    return _csv_slices(header, ([col[r0 : r0 + _CSV_SLICE_ROWS] for col in columns]
+                                for r0 in starts), manifest_name)
+
+
+def _csv_slices(header: list[str], slices, manifest_name: str):
+    """``_csv_bytes`` of an iterable of per-slice column lists, taken as due.
 
     Each slice of rows becomes one row-major byte matrix: per column its
     NUL-padded cells, then a ``,`` or ``\\n``; without the NULs it is the
     slice's text (``DECISIONS.md`` entries 15, 17 and 18).
     """
-    columns = [np.asarray(col) for col in columns]
     yield f"# manifest={manifest_name}\n{','.join(header)}\n".encode()
-    for r0 in range(0, len(columns[0]), _CSV_SLICE_ROWS):
-        fields = [_cell_field(col[r0 : r0 + _CSV_SLICE_ROWS]) for col in columns]
+    for columns in slices:
+        fields = [_cell_field(col) for col in columns]
         matrix = np.empty((fields[0].shape[1], sum(len(f) + 1 for f in fields)), np.uint8)
         end = 0
         for field in fields:
@@ -338,16 +345,18 @@ def _cmd_ambiguity(args) -> int:
         {"scenario_sha256": scenario_hash(scn), "variant": args.variant,
          "seed": args.seed},
         surface.op_counts)
-
-    db = surface.magnitude_db()
     ls, range_km, row_db = surface.range_cut()
     freqs, col_db = surface.doppler_cut()
+    n, mag, peak = surface.n, surface.magnitude().ravel(), surface._peak
+    del surface  # frees the complex values: the surface CSV reads only the magnitude
+
+    def surface_slices():
+        for r0 in range(0, mag.size, _CSV_SLICE_ROWS):
+            cells = np.arange(r0, min(r0 + _CSV_SLICE_ROWS, mag.size))
+            yield [cells // n, cells % n, _decibels(mag[r0 : r0 + _CSV_SLICE_ROWS], peak)]
+
     files = {
-        ".surface.csv": _csv_bytes(
-            ["l", "p", "magnitude_db"],
-            [np.repeat(np.arange(surface.l_bins, dtype=np.int32), surface.n),
-             np.tile(np.arange(surface.n, dtype=np.int32), surface.l_bins), db.ravel()],
-            name),
+        ".surface.csv": _csv_slices(["l", "p", "magnitude_db"], surface_slices(), name),
         ".range_cut.csv": _csv_bytes(
             ["l", "bistatic_range_km", "magnitude_db"], [ls, range_km, row_db], name),
         ".doppler_cut.csv": _csv_bytes(
@@ -413,7 +422,7 @@ def _cmd_opcount(args) -> int:
     _write_outputs(args.out, {".opcount.csv": _csv_bytes(header, list(zip(*rows)), name)},
                    manifest)
     print(f"butterfly counts: " + ", ".join(
-        f"N={n}: {nfft_butterflies(n)}" for n in args.n_list))
+        f"N={n}: {fft_complex_muls(n)}" for n in args.n_list))
     return 0
 
 

@@ -57,7 +57,6 @@ __all__ = [
     "transform_cost",
     "ndft_complex_ops",
     "nfft_complex_ops",
-    "nfft_butterflies",
     "fft_complex_muls",
     "dft_complex_muls",
 ]
@@ -344,10 +343,6 @@ def ndft_complex_ops(n: int) -> int:
 def nfft_complex_ops(n: int) -> int:
     """N*(log2(N)+1): 4 per bottom-stage pair, 2 per butterfly above."""
     return n * (_require_pow2(n, "nfft_complex_ops") + 1)
-
-
-def nfft_butterflies(n: int) -> int:
-    return (n // 2) * _require_pow2(n, "nfft_butterflies")
 
 
 def fft_complex_muls(n: int) -> int:

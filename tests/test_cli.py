@@ -172,21 +172,37 @@ def test_ambiguity_outputs(tmp_path):
     assert os.path.exists(out + ".range_cut.svg")
 
 
+def capturing_surfaces(surfaces):
+    """A patch of ``surface_for_scenario`` that keeps each surface it returns."""
+    from signadd import detection
+
+    real = detection.surface_for_scenario
+
+    def capturing(*args, **kwargs):
+        surfaces.append(real(*args, **kwargs))
+        return surfaces[-1]
+
+    return mock.patch.object(detection, "surface_for_scenario", capturing)
+
+
 @pytest.mark.parametrize("variant", ["eq11", "eq12a", "eq12b", "eq12c"])
 def test_ambiguity_cuts_without_second_db_surface(tmp_path, variant):
     # The cuts are the dB of the magnitude's row and column maxima; they equal
-    # the maxima of the dB surface, which the command computes once.
+    # the maxima of the dB surface, which the command never computes whole:
+    # the surface CSV takes its dB slice by slice from the magnitude.
     real = AmbiguitySurface.magnitude_db
-    surfaces = []
+    surfaces, db_calls = [], []
 
     def counting(self):
-        surfaces.append(self)
+        db_calls.append(self)
         return real(self)
 
     scn = scene_path(tmp_path, NoiseModel(kind=NoiseKind.AWGN, snr_db=3.0))
-    with mock.patch.object(AmbiguitySurface, "magnitude_db", counting):
+    with capturing_surfaces(surfaces), \
+            mock.patch.object(AmbiguitySurface, "magnitude_db", counting):
         assert main(["ambiguity", "--scenario", scn, "--variant", variant, "--seed", "4",
                      "--out", str(tmp_path / "amb")]) == 0
+    assert db_calls == []
     assert len(surfaces) == 1
     surface = surfaces[0]
     db = real(surface)
@@ -194,6 +210,21 @@ def test_ambiguity_cuts_without_second_db_surface(tmp_path, variant):
     order = np.argsort(np.where(p <= surface.n // 2, p, p - surface.n), kind="stable")
     assert surface.range_cut()[2].tobytes() == db.max(axis=1).tobytes()
     assert surface.doppler_cut()[1].tobytes() == db.max(axis=0)[order].tobytes()
+
+
+def test_ambiguity_surface_csv_over_ragged_slices(tmp_path):
+    # Several slices, the last one short: the command's per-slice l, p and dB
+    # columns join to the repr of the whole dB surface.
+    surfaces, out = [], str(tmp_path / "amb")
+    with capturing_surfaces(surfaces), mock.patch.object(cli, "_CSV_SLICE_ROWS", 5000):
+        assert main(["ambiguity", "--scenario", scene_path(tmp_path), "--variant", "eq12a",
+                     "--seed", "1", "--out", out]) == 0
+    (surface,) = surfaces
+    assert surface.l_bins * surface.n > 2 * 5000 and surface.l_bins * surface.n % 5000 != 0
+    want = "".join(f"{l},{p},{v!r}\n" for l, row in enumerate(surface.magnitude_db().tolist())
+                   for p, v in enumerate(row))
+    assert file_bytes(out + ".surface.csv") == (
+        f"# manifest=amb.manifest.json\nl,p,magnitude_db\n{want}".encode())
 
 
 def test_ambiguity_range_cut_peaks(tmp_path):
@@ -695,8 +726,9 @@ def test_ambiguity_failure_mid_stream_leaves_nothing(tmp_path, capsys):
 
 
 def test_ambiguity_memory_bounded_by_surface(tmp_path):
-    # The CSVs are streamed slice by slice, so the traced peak stays below four
-    # surfaces of complex128; holding the surface CSV's text would pass it.
+    # The surface CSV is streamed slice by slice from the magnitude once the
+    # complex surface is freed, so the traced peak stays below two surfaces of
+    # complex128; holding the dB surface or the index columns would pass it.
     scenario = str(DEMOS / "scenario_benchmark.json")
     scn = load_scenario(scenario)
     surface_bytes = scn.l_bins * scn.n * np.dtype(complex).itemsize
@@ -708,7 +740,7 @@ def test_ambiguity_memory_bounded_by_surface(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * surface_bytes
+    assert peak < 2 * surface_bytes
 
 
 def unreachable(*args, **kwargs):
@@ -1021,3 +1053,23 @@ def test_rerun_byte_identical(tmp_path):
     assert [n for n, _ in first] == [n for n, _ in second]
     for (name, a), (_, b) in zip(first, second):
         assert a == b, f"output {name} differs between reruns"
+
+
+def test_cli_outputs_match_committed_hashes(tmp_path):
+    # Every output of tools/cli_outputs.py's matrix, run in this process, has
+    # the SHA-256 committed in tests/cli_outputs.sha256.
+    import importlib.util
+
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("cli_outputs", root / "tools" / "cli_outputs.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    want = (root / "tests" / "cli_outputs.sha256").read_text(encoding="utf-8").splitlines()
+    got = tool.output_hashes(root, tmp_path / "out", tool.run_in_process)
+    changed = sorted({line.split("  ", 1)[1] for line in set(want) ^ set(got)})
+    assert got == want, (
+        f"changed outputs: {', '.join(changed)}. The hashes are the bytes numpy 2.4.6 "
+        "gives (DECISIONS.md entry 10: its complex multiply is not bit-stable across "
+        "inner-loop paths). After a deliberate change, regenerate them with "
+        "python3 tools/cli_outputs.py . \"$(mktemp -d)\" > tests/cli_outputs.sha256 "
+        "and name each changed output in CHANGES.md.")

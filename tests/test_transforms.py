@@ -25,7 +25,6 @@ from signadd.transforms import (
     dft_complex_muls,
     fft_complex_muls,
     ndft_complex_ops,
-    nfft_butterflies,
     nfft_complex_ops,
 )
 
@@ -487,13 +486,14 @@ def test_counts_match_analytic(n):
 
 
 def test_nfft_count_in_butterfly_terms():
-    # bottom-stage butterflies cost 4 applications, the rest 2 each
+    # bottom-stage butterflies cost 4 applications, the rest 2 each; a radix-2
+    # flow graph has as many butterflies as the exact FFT has multiplications
     for n in POWERS:
         stages = int(np.log2(n))
         bottom = n // 2
-        upper = nfft_butterflies(n) - bottom
+        upper = fft_complex_muls(n) - bottom
         assert nfft_complex_ops(n) == 4 * bottom + 2 * upper
-        assert nfft_butterflies(n) == (n // 2) * stages
+        assert fft_complex_muls(n) == (n // 2) * stages
 
 
 def test_counter_merging_through_transforms():

@@ -19,11 +19,20 @@ a seeded N=2048 signal CSV with planted signed zeros, and on ``--tone 3
 --n 256``; ``table --seeds 0`` for the default set and for
 ``demos/table_set_example.json``; ``opcount`` at the default sizes and at
 ``2,16,64,1024``.
+
+``tests/cli_outputs.sha256`` holds the lines for the current checkout, and
+``tests/test_cli.py`` runs the same matrix in one process (``run_in_process``,
+through ``signadd.cli.main``) and compares.  After a deliberate output
+change, regenerate it with
+
+    python3 tools/cli_outputs.py . "$(mktemp -d)" > tests/cli_outputs.sha256
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -64,26 +73,49 @@ def commands(root: Path, out: Path) -> dict:
     return cmds
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) != 2:
-        raise SystemExit(__doc__.split("\n\n")[1])
-    root, out = (Path(a).resolve() for a in argv)
+def run_subprocess(root: Path, out: Path, args: list[str]) -> bytes:
+    """Standard output of ``python -m signadd ARGS`` on the checkout ``root``."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    run = subprocess.run([sys.executable, "-m", "signadd", *args], cwd=out, env=env,
+                         capture_output=True)
+    if run.returncode != 0:
+        raise SystemExit(f"cli_outputs: {' '.join(args)} exited {run.returncode}: "
+                         f"{run.stderr.decode(errors='replace')}")
+    return run.stdout
+
+
+def run_in_process(root: Path, out: Path, args: list[str]) -> bytes:
+    """Standard output of ``signadd.cli.main(ARGS)`` in this process, with
+    whichever ``signadd`` it imports."""
+    from signadd import cli
+
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        code = cli.main(args)
+    if code != 0:
+        raise SystemExit(f"cli_outputs: {' '.join(args)} exited {code}")
+    return stdout.getvalue().encode()
+
+
+def output_hashes(root: Path, out: Path, run=run_subprocess) -> list[str]:
+    """``<sha256>  <name>`` of each output of the matrix, run by ``run`` into
+    the new or empty directory ``out``, sorted by name."""
     out.mkdir(parents=True, exist_ok=True)
     if any(out.iterdir()):
         raise SystemExit(f"cli_outputs: {out} is not empty")
     write_signal(out / "signal.csv")
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
     for name, args in commands(root, out).items():
-        run = subprocess.run([sys.executable, "-m", "signadd", *args, "--out", str(out / name)],
-                             cwd=out, env=env, capture_output=True)
-        if run.returncode != 0:
-            raise SystemExit(f"cli_outputs: {' '.join(args)} exited {run.returncode}: "
-                             f"{run.stderr.decode(errors='replace')}")
-        if run.stdout:
-            (out / f"{name}.stdout").write_bytes(run.stdout)
-    for path in sorted(out.iterdir()):
-        if path.name != "signal.csv" and not path.name.endswith(".manifest.json"):
-            print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
+        stdout = run(root, out, [*args, "--out", str(out / name)])
+        if stdout:
+            (out / f"{name}.stdout").write_bytes(stdout)
+    return [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}"
+            for path in sorted(out.iterdir())
+            if path.name != "signal.csv" and not path.name.endswith(".manifest.json")]
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        raise SystemExit(__doc__.split("\n\n")[1])
+    print("\n".join(output_hashes(*(Path(a).resolve() for a in argv))))
     return 0
 
 
