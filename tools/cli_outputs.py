@@ -17,7 +17,8 @@ The matrix: ``ambiguity --svg`` for the four variants at seeds 0 and 7 on
 ``demos/scenario_benchmark.json``; ``transform --svg`` for the four kinds on
 a seeded N=2048 signal CSV with planted signed zeros, and on ``--tone 3
 --n 256``; ``table --seeds 0`` for the default set and for
-``demos/table_set_example.json``; ``opcount`` at the default sizes and at
+``demos/table_set_example.json``, and for a set whose environment names
+need quoting or are not ASCII; ``opcount`` at the default sizes and at
 ``2,16,64,1024``.
 
 ``tests/cli_outputs.sha256`` holds the lines for the current checkout, and
@@ -33,6 +34,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -42,6 +44,7 @@ import numpy as np
 
 VARIANTS = ("eq11", "eq12a", "eq12b", "eq12c")
 KINDS = ("dft", "fft", "ndft", "nfft")
+INPUTS = ("signal.csv", "table_set.json")  # written by the tool, not hashed
 
 
 def write_signal(path: Path) -> None:
@@ -53,6 +56,18 @@ def write_signal(path: Path) -> None:
     re[7] = im[7] = -0.0
     rows = "".join(f"{a!r},{b!r}\n" for a, b in zip(re.tolist(), im.tolist()))
     path.write_text("re,im\n" + rows, encoding="utf-8")
+
+
+def write_quoted_table_set(root: Path, path: Path) -> None:
+    """A table set of three ``none``/eq11 rows on the scenario of
+    ``demos/table_set_example.json``, under environment names that the CSV
+    must quote or that are not ASCII."""
+    example = json.loads((root / "demos" / "table_set_example.json").read_text(encoding="utf-8"))
+    scenario = example["environments"][0]["scenario"]
+    names = ['far, "quiet"', "two\nlines", "Zürich–Süd 雷达"]
+    doc = {"environments": [{"name": name, "scenario": scenario} for name in names],
+           "noises": [{"kind": "none"}], "variants": ["eq11"]}
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
 
 
 def commands(root: Path, out: Path) -> dict:
@@ -68,6 +83,7 @@ def commands(root: Path, out: Path) -> dict:
     cmds["table_default"] = ["table", "--set", "default", "--seeds", "0"]
     cmds["table_example"] = ["table", "--set", str(root / "demos" / "table_set_example.json"),
                              "--seeds", "0"]
+    cmds["table_quoted"] = ["table", "--set", str(out / "table_set.json"), "--seeds", "0"]
     cmds["opcount_default"] = ["opcount"]
     cmds["opcount_sizes"] = ["opcount", "--n-list", "2,16,64,1024"]
     return cmds
@@ -103,13 +119,14 @@ def output_hashes(root: Path, out: Path, run=run_subprocess) -> list[str]:
     if any(out.iterdir()):
         raise SystemExit(f"cli_outputs: {out} is not empty")
     write_signal(out / "signal.csv")
+    write_quoted_table_set(root, out / "table_set.json")
     for name, args in commands(root, out).items():
         stdout = run(root, out, [*args, "--out", str(out / name)])
         if stdout:
             (out / f"{name}.stdout").write_bytes(stdout)
     return [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}"
             for path in sorted(out.iterdir())
-            if path.name != "signal.csv" and not path.name.endswith(".manifest.json")]
+            if path.name not in INPUTS and not path.name.endswith(".manifest.json")]
 
 
 def main(argv: list[str]) -> int:
