@@ -530,12 +530,13 @@ def load_table_set(path) -> list[tuple[str, Scenario, str]]:
         if not (isinstance(env, dict) and "name" in env and "scenario" in env):
             raise SchemaError(f"key 'environments[{i}]' needs 'name' and 'scenario'")
         _fields(env, (), f"environments[{i}].", ("name", "scenario"))
-        if not isinstance(env["name"], str):
-            raise SchemaError(f"key 'environments[{i}].name' must be a string")
+        name = env["name"]  # a CSV cell: UTF-8 text, and NUL is the writer's padding
+        if not isinstance(name, str) or any(c == "\0" or "\ud800" <= c <= "\udfff" for c in name):
+            raise SchemaError(f"key 'environments[{i}].name' must be text with no NUL or surrogate")
         if isinstance(env["scenario"], dict) and "noise" in env["scenario"]:
             raise SchemaError(f"key 'environments[{i}].scenario.noise' is not allowed: "
                               "the table set's 'noises' sets the noise of every row")
-        envs.append((env["name"],
+        envs.append((name,
                      _scenario_from_dict(env["scenario"], f"environments[{i}].scenario.")))
     noises = [noise_from_dict(nd, f"noises[{i}]") for i, nd in enumerate(doc["noises"])]
     return table_rows(variants, envs, noises)

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signadd import (AmbiguitySurface, DomainError, NoiseKind, NoiseModel, cli, save_scenario,
-                     two_targets_one_clutter)
+from signadd import (AmbiguitySurface, DomainError, NoiseKind, NoiseModel, cli, csvout,
+                     save_scenario, two_targets_one_clutter)
 from signadd.cli import main
 from signadd.radar import load_scenario, load_table_set
 
@@ -127,6 +127,19 @@ def test_transform_input_not_utf8_fails_cleanly(tmp_path, capsys):
     assert os.listdir(tmp_path) == ["latin.csv"]
 
 
+def test_transform_input_with_byte_order_mark(tmp_path):
+    # A UTF-8 byte-order mark (Excel's "CSV UTF-8") is not part of the header.
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text("re,im\n1,2\n-0.5,3\n0,0\n4,-1\n", encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for path in (plain, marked):
+        (tmp_path / path.stem).mkdir()
+        assert main(["transform", "--kind", "fft", "--input", str(path),
+                     "--out", str(tmp_path / path.stem / "o")]) == 0
+    assert (file_bytes(tmp_path / "marked" / "o.spectrum.csv")
+            == file_bytes(tmp_path / "plain" / "o.spectrum.csv"))
+
+
 @pytest.mark.parametrize("kind", ["ndft", "dft", "nfft", "fft"])
 def test_transform_overflowing_spectrum_names_file(tmp_path, capsys, kind):
     path = tmp_path / "big.csv"
@@ -216,7 +229,7 @@ def test_ambiguity_surface_csv_over_ragged_slices(tmp_path):
     # Several slices, the last one short: the command's per-slice l, p and dB
     # columns join to the repr of the whole dB surface.
     surfaces, out = [], str(tmp_path / "amb")
-    with capturing_surfaces(surfaces), mock.patch.object(cli, "_CSV_SLICE_ROWS", 5000):
+    with capturing_surfaces(surfaces), mock.patch.object(csvout, "_CSV_SLICE_ROWS", 5000):
         assert main(["ambiguity", "--scenario", scene_path(tmp_path), "--variant", "eq12a",
                      "--seed", "1", "--out", out]) == 0
     (surface,) = surfaces
@@ -502,6 +515,8 @@ def test_table_bad_set_file(tmp_path, capsys):
     ({"environments": [{"name": "e", "nmae": "typo", "scenario": {}}]},
      "environments[0].nmae"),
     ({"environments": [{"name": {"a": 1}, "scenario": {}}]}, "environments[0].name"),
+    ({"environments": [{"name": "\ud800x", "scenario": {}}]}, "environments[0].name"),
+    ({"environments": [{"name": "a\x00b", "scenario": {}}]}, "environments[0].name"),
     ({"variants": []}, "variants"),
     ({"environments": []}, "environments"),
     ({"noises": []}, "noises"),
@@ -510,6 +525,7 @@ def test_table_bad_set_file(tmp_path, capsys):
 ], ids=["noise-key-typo", "awgn-without-snr", "unknown-noise-kind", "unknown-variant",
         "noises-not-a-list", "environment-without-scenario", "scenario-key-path",
         "unknown-top-level-key", "unknown-environment-key", "non-string-name",
+        "lone-surrogate-name", "nul-name",
         "empty-variants", "empty-environments", "empty-noises", "scenario-noise"])
 def test_table_set_schema_errors_name_key(tmp_path, capsys, patch, key):
     scn_doc = table_set_scene(scene_path(tmp_path))
@@ -645,7 +661,11 @@ def test_size_below_one_names_flag(tmp_path, capsys, argv, flag):
     (["transform", "--kind", "fft", "--input", "{sig}", "--n", "4"],
      "--n 4 does not match input length 2"),
     (["table", "--seeds", "0,1", "--trials", "3"], "--trials 3 exceeds the 2 seeds given"),
-], ids=["tone-without-n", "n-not-input-length", "trials-above-seeds"])
+    (["transform", "--kind", "nfft", "--tone", "3", "--n", "6"],
+     "--n with --kind nfft: size must be a power of two >= 2, got 6"),
+    (["opcount", "--n-list", "2,6"], "--n-list: size must be a power of two >= 2, got 6"),
+], ids=["tone-without-n", "n-not-input-length", "trials-above-seeds", "nfft-n-not-power-of-two",
+        "opcount-size-not-power-of-two"])
 def test_flag_mismatch_names_flag(tmp_path, capsys, argv, message):
     sig = tmp_path / "sig.csv"
     sig.write_text("re,im\n1,2\n3,4\n")
@@ -660,7 +680,8 @@ def test_flag_mismatch_names_flag(tmp_path, capsys, argv, message):
     ("1,2\n3,4\n", "must have a 're,im' header row"),
     ("", "must have a 're,im' header row"),
     ("re,im\n# no samples\n\n", "has no samples"),
-], ids=["no-header", "empty", "header-only"])
+    ("re,im\n" + "1,2\n" * 6, "with --kind fft: size must be a power of two >= 2, got 6"),
+], ids=["no-header", "empty", "header-only", "fft-size-not-power-of-two"])
 def test_transform_input_without_samples_names_file(tmp_path, capsys, body, message):
     path = tmp_path / "sig.csv"
     path.write_text(body)
@@ -706,7 +727,7 @@ def test_ambiguity_failure_mid_stream_leaves_nothing(tmp_path, capsys):
     # The third float slice fails while the surface CSV's temp file already
     # holds the header and two slices; every temp file is removed.
     out = str(tmp_path / "o")
-    real, calls, lines_written = cli._float_field, [], []
+    real, calls, lines_written = csvout._float_field, [], []
 
     def failing(x):
         calls.append(x.size)
@@ -716,10 +737,10 @@ def test_ambiguity_failure_mid_stream_leaves_nothing(tmp_path, capsys):
             raise DomainError("third slice")
         return real(x)
 
-    with mock.patch.object(cli, "_float_field", failing):
+    with mock.patch.object(csvout, "_float_field", failing):
         assert main(["ambiguity", "--scenario", str(DEMOS / "scenario_benchmark.json"),
                      "--variant", "eq12a", "--svg", "--out", out]) == 1
-    assert lines_written == [2 + 2 * cli._CSV_SLICE_ROWS]
+    assert lines_written == [2 + 2 * csvout._CSV_SLICE_ROWS]
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "third slice" in err
     assert os.listdir(tmp_path) == []
@@ -812,8 +833,8 @@ REPR_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, 9.5e-05, -0.0625, 2.0**-10, 0.
 def test_csv_bytes_matches_row_writer_property(rows):
     columns = [np.array([r[0] for r in rows], dtype=np.int64),
                np.array([r[1] for r in rows]), np.array([r[2] for r in rows])]
-    with mock.patch.object(cli, "_CSV_SLICE_ROWS", 5):  # several slices, the last ragged
-        assert (b"".join(cli._csv_bytes(["k", "a", "b"], columns, "m.json"))
+    with mock.patch.object(csvout, "_CSV_SLICE_ROWS", 5):  # several slices, the last ragged
+        assert (b"".join(csvout._csv_bytes(["k", "a", "b"], columns, "m.json"))
                 == csv_writer_bytes(["k", "a", "b"], rows, "m.json"))
 
 
@@ -875,16 +896,35 @@ def csv_columns(draw):
 def test_csv_bytes_index_tables_match_row_writer_property(case):
     columns, rows = case
     header = [f"c{j}" for j in range(len(columns))]
-    with mock.patch.object(cli, "_CSV_SLICE_ROWS", 5):  # several slices, the last ragged
-        assert (b"".join(cli._csv_bytes(header, columns, "m.json"))
+    with mock.patch.object(csvout, "_CSV_SLICE_ROWS", 5):  # several slices, the last ragged
+        assert (b"".join(csvout._csv_bytes(header, columns, "m.json"))
                 == csv_writer_bytes(header, rows, "m.json"))
+
+
+# Text cells: any character but NUL (which the byte matrix drops) and the lone
+# surrogates (which no UTF-8 file holds), with the ones csv.writer may quote
+# drawn often.
+CELL_TEXT = st.text(st.one_of(
+    st.sampled_from(',"\n\r\t '),
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00")))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(CELL_TEXT, CELL_FLOATS, st.integers(-2**62, 2**62), CELL_TEXT),
+                max_size=12))
+def test_csv_bytes_quotes_text_as_csv_writer_property(rows):
+    columns = [np.array([r[j] for r in rows], dtype=dtype)
+               for j, dtype in enumerate((str, float, np.int64, str))]
+    with mock.patch.object(csvout, "_CSV_SLICE_ROWS", 5):  # several slices, the last ragged
+        assert (b"".join(csvout._csv_bytes(["name", "a", "k", "note"], columns, "m.json"))
+                == csv_writer_bytes(["name", "a", "k", "note"], rows, "m.json"))
 
 
 # --- float digits against repr --------------------------------------------------------
 
 def float_texts(values):
-    """The cells ``cli._float_field`` writes for ``values``, NULs dropped."""
-    field = cli._float_field(np.asarray(values, dtype=np.float64))
+    """The cells ``csvout._float_field`` writes for ``values``, NULs dropped."""
+    field = csvout._float_field(np.asarray(values, dtype=np.float64))
     return [bytes(cell[cell != 0]).decode() for cell in field.T]
 
 
@@ -951,7 +991,7 @@ def test_scaled_product_is_exact_property(a, off):
     # its two neighbours, between which the log10 estimate falls.
     assert abs(int(np.floor(np.log10(a))) - Decimal(a).adjusted()) <= 1
     e = Decimal(a).adjusted() + off
-    hi, lo = cli._scaled(np.array([a]), np.array([e]))
+    hi, lo = csvout._scaled(np.array([a]), np.array([e]))
     assert Fraction(hi[0]) + Fraction(lo[0]) == Fraction(a) * Fraction(10) ** (16 - e)
 
 
@@ -966,7 +1006,7 @@ def test_exponent_is_exact_where_log10_rounds_up():
             below.append(v)
     a = np.array([v for v in below if 1e-4 <= v < 1e16])
     assert (np.floor(np.log10(a)) != [Decimal(v).adjusted() for v in a]).sum() > 20
-    e, hi, lo = cli._exponent(a)
+    e, hi, lo = csvout._exponent(a)
     assert e.tolist() == [Decimal(v).adjusted() for v in a.tolist()]
     assert ((hi >= 1e16) & (hi <= 1e17)).all()
 
@@ -993,7 +1033,7 @@ def test_surface_csv_equals_repr_join():
     db = surface.magnitude_db()
     want = "".join(f"{l},{p},{v!r}\n" for l, row in enumerate(db.tolist())
                    for p, v in enumerate(row))
-    got = b"".join(cli._csv_bytes(
+    got = b"".join(csvout._csv_bytes(
         ["l", "p", "magnitude_db"],
         [np.repeat(np.arange(surface.l_bins), surface.n),
          np.tile(np.arange(surface.n), surface.l_bins), db.ravel()], "m.json"))
