@@ -130,8 +130,7 @@ def _cmd_transform(args) -> int:
             raise ContractError(
                 f"transform: --n {args.n} does not match input length {x.size}")
     if args.kind in ("fft", "nfft"):  # checked here to name the flag or the file
-        source = "--n" if args.input is None else f"signal file {args.input}"
-        _require_pow2(x.size, f"transform: {source} with --kind {args.kind}")
+        _require_pow2(x.size, f"transform: {args.input or '--n'} with --kind {args.kind}")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
         spectrum = _TRANSFORMS[args.kind](x)
         mag = spectrum.magnitude()
@@ -299,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         folder = os.path.dirname(args.out) or "."
         if not os.path.isdir(folder):  # checked before anything is computed
