@@ -1,10 +1,10 @@
 """The CSV writer: every CSV the command line writes comes from here.
 
-Columns become numpy byte matrices a slice of rows at a time, floats as
-``repr``, integers as ``str`` and text as ``str`` with ``csv.writer``'s
-minimal quoting, so the bytes are those a row-by-row ``csv.writer`` with
-``lineterminator="\\n"`` would write (``DECISIONS.md`` entries 15, 17, 18
-and 20).
+Columns become numpy byte matrices a slice of rows at a time: floats as
+``repr``, integers as ``str`` and text as ``str`` with the minimal quoting
+of Python's ``csv`` module, so the bytes are those its row-by-row writer
+with ``lineterminator="\\n"`` would write (``DECISIONS.md`` entries 15,
+17, 18 and 20).
 """
 
 import numpy as np
@@ -149,15 +149,15 @@ def _text_field(cells) -> np.ndarray:
 
 
 def _quoted(cell: str) -> str:
-    """``cell`` as ``csv.writer`` writes it: quoted, ``"`` doubled, if it holds ``,"\\n``."""
+    """``cell`` quoted as by the ``csv`` module: in ``"``, ``"`` doubled, if it holds ``,"\\n``."""
     quote = "," in cell or '"' in cell or "\n" in cell
     return '"' + cell.replace('"', '""') + '"' if quote else cell
 
 
 def _cell_field(col: np.ndarray) -> np.ndarray:
     """A CSV column's cells, floats as ``repr``, integers as ``str`` and the
-    rest as ``str`` quoted as ``csv.writer`` does, as a NUL-padded uint8
-    matrix with one column per cell."""
+    rest as ``str`` through ``_quoted``, as a NUL-padded uint8 matrix with
+    one column per cell."""
     if col.dtype.kind == "f":
         return _float_field(col.astype(np.float64))
     if col.dtype.kind in "iu":
@@ -174,8 +174,8 @@ def _csv_bytes(header: list[str], columns: list, manifest_name: str):
 
 
 def _csv_slices(header: list[str], rows: int, columns_of, manifest_name: str):
-    """``_csv_bytes`` of ``rows`` rows whose columns ``columns_of(s)`` gives
-    for each slice ``s`` of ``_CSV_SLICE_ROWS`` rows, taken as due.
+    """``_csv_bytes`` of ``rows`` rows, taking the columns of each slice ``s``
+    of ``_CSV_SLICE_ROWS`` rows from ``columns_of(s)`` when its bytes are due.
 
     Each slice of rows becomes one row-major byte matrix: per column its
     NUL-padded cells, then a ``,`` or ``\\n``; without the NULs it is the

@@ -909,7 +909,7 @@ CELL_TEXT = st.text(st.one_of(
     st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00")))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(CELL_TEXT, CELL_FLOATS, st.integers(-2**62, 2**62), CELL_TEXT),
                 max_size=12))
 def test_csv_bytes_quotes_text_as_csv_writer_property(rows):
