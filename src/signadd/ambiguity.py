@@ -40,7 +40,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .operator import ContractError, DomainError, OpCountReport, _mf_complex_raw
+from .operator import ContractError, OpCountReport, _mf_complex_raw, float_range
 from .transforms import ComplexSignal, TransformKind, _row_blocks, fft_exact, nfft, transform_cost
 
 __all__ = [
@@ -174,6 +174,7 @@ def _lag_slices(s_surv, s_ref, l, n: int | None):
     return surv[:n], sliding_window_view(padded, n)[hi - lags]
 
 
+@float_range("lag_product_exact")
 def lag_product_exact(s_surv, s_ref, l, n: int | None = None) -> np.ndarray:
     """``y[i] = s_surv[i] * conj(s_ref[i-l])`` with zero reference for i < l.
 
@@ -184,6 +185,7 @@ def lag_product_exact(s_surv, s_ref, l, n: int | None = None) -> np.ndarray:
     return surv * ref_conj
 
 
+@float_range("lag_product_mf")
 def lag_product_mf(s_surv, s_ref, l, n: int | None = None) -> np.ndarray:
     """Sign-additive lag product: one complex application per sample; lags
     as in ``lag_product_exact``."""
@@ -209,14 +211,15 @@ def surface_cost(variant, l_bins: int, n: int) -> tuple[OpCountReport, OpCountRe
     return lag(l_bins * n), transform_cost(kind, n, l_bins)
 
 
+@float_range("compute_ambiguity")
 def compute_ambiguity(variant, s_surv, s_ref, l_bins: int, n: int,
                       transform_input_gain: float = 1.0) -> AmbiguitySurface:
     """Surface of a variant given by name or enum.
 
     The input gain reaches the variants that ``_STAGES`` marks nonlinear, and
     only those; for the exact transform it would rescale the whole surface and
-    change nothing.  A gain that takes the transform input past the float
-    range fails naming it.
+    change nothing.  A surface, or its magnitude, past the float range raises
+    one ``DomainError`` (``operator.float_range``).
     """
     variant = AmbiguityVariant(variant)
     mf_lag, nonlinear = _STAGES[variant]
@@ -236,11 +239,8 @@ def compute_ambiguity(variant, s_surv, s_ref, l_bins: int, n: int,
     for block in _row_blocks(l_bins, n):
         y = lag_fn(s_surv, s_ref, block, n)
         if gain != 1.0:
-            try:
-                with np.errstate(over="raise", invalid="raise"):
-                    y = gain * y
-            except FloatingPointError:
-                raise DomainError(f"compute_ambiguity: 'transform_input_gain' {gain!r} takes "
-                                  "the transform input past the float range") from None
+            y = gain * y
         rows[block] = transform_fn(y).bins
-    return AmbiguitySurface(rows, variant, fs)
+    surface = AmbiguitySurface(rows, variant, fs)
+    surface._peak  # takes |values| under the rule too; every consumer reads the peak
+    return surface

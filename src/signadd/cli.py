@@ -40,7 +40,7 @@ import numpy as np
 from . import __version__, csvout
 from .ambiguity import AmbiguityVariant, _decibels
 from .detection import DEFAULT_SEEDS, default_table_rows, run_table
-from .operator import ContractError, DomainError, OpCountReport
+from .operator import ContractError, DomainError, OpCountReport, float_range
 from .radar import SchemaError, load_scenario, load_table_set, reseed_scenario, scenario_hash
 from .render import line_svg
 from .transforms import (_require_pow2, dft_exact, fft_complex_muls, fft_exact, ndft, nfft,
@@ -131,12 +131,9 @@ def _cmd_transform(args) -> int:
                 f"transform: --n {args.n} does not match input length {x.size}")
     if args.kind in ("fft", "nfft"):  # checked here to name the flag or the file
         _require_pow2(x.size, f"transform: {args.input or '--n'} with --kind {args.kind}")
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+    with float_range(f"transform: the {args.kind} spectrum of {args.input or '--tone'}"):
         spectrum = _TRANSFORMS[args.kind](x)
         mag = spectrum.magnitude()
-    if not np.isfinite(mag).all():  # a bin that is not finite, or too large to take |X|
-        raise DomainError(f"transform: the {args.kind} spectrum of {args.input} "
-                          "overflows the float range")
     name, manifest = _manifest(
         args.out, "transform",
         {"kind": args.kind, "n": int(x.size), "tone": args.tone,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .ambiguity import (DB_FLOOR_CAP, AmbiguitySurface, AmbiguityVariant, compute_ambiguity,
                         surface_cost)
-from .operator import ContractError, OpCountReport
+from .operator import ContractError, OpCountReport, float_range
 from .radar import (NoiseKind, NoiseModel, Scenario, build_signals, reseed_scenario,
                     standard_environments, table_rows, true_bins)
 
@@ -170,13 +170,21 @@ def sidelobe_floor_db(surface: AmbiguitySurface, scenario: Scenario) -> float:
     return float(surface._db(surface.magnitude().max(where=outside, initial=0.0)))
 
 
+def _surface_name(scn: Scenario, variant) -> str:
+    """The variant and the scenario keys that scale a surface, as its float-range error names them."""
+    return (f"the {AmbiguityVariant(variant).value} surface of 'noise' ({scn.noise.label()}), "
+            f"'surv_gain' {scn.surv_gain!r} and 'transform_input_gain' {scn.transform_input_gain!r}")
+
+
 def surface_for_scenario(scn: Scenario, variant) -> AmbiguitySurface:
     """Build signals and compute the surface a scenario asks for, with the
     scenario's transform input gain; ``compute_ambiguity`` applies it where
-    the variant runs the nonlinear FFT."""
-    s_ref, s_surv = build_signals(scn)
-    return compute_ambiguity(variant, s_surv, s_ref, scn.l_bins, scn.n,
-                             transform_input_gain=scn.transform_input_gain)
+    the variant runs the nonlinear FFT.  A surface past the float range fails
+    naming the variant and the scenario's noise and gains."""
+    with float_range(_surface_name(scn, variant)):
+        s_ref, s_surv = build_signals(scn)
+        return compute_ambiguity(variant, s_surv, s_ref, scn.l_bins, scn.n,
+                                 transform_input_gain=scn.transform_input_gain)
 
 
 def run_scenario(scn: Scenario, variant, seed: int) -> DetectionReport:
@@ -197,7 +205,8 @@ def run_table(rows: Sequence[tuple[str, Scenario, str]],
         raise ContractError("run_table: need at least one trial seed")
     out = []
     for env_name, scn, variant in rows:
-        reports = [run_scenario(scn, variant, seed) for seed in seeds]
+        with float_range(f"environment {env_name!r}: {_surface_name(scn, variant)}"):
+            reports = [run_scenario(scn, variant, seed) for seed in seeds]
         # the trials' surfaces have len(seeds) * l_bins rows in all
         lag, transform = surface_cost(variant, len(seeds) * scn.l_bins, scn.n)
         out.append(TableRow(

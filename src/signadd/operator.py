@@ -16,10 +16,20 @@ and counts of separate computations combine with ``+``.
 All functions accept scalars or numpy arrays (broadcasting applies) and
 reject NaN/Inf operands, because the sign of a non-finite product is
 meaningless and would silently corrupt anything built on top.
+
+The float range has one rule, :func:`float_range`: finite in, finite out,
+or one :class:`DomainError`.  Magnitudes grow by addition at every
+application, so finite operands can still leave the range.  The products
+here, the four transforms, the two lag products, ``compute_ambiguity`` and
+``synth_surveillance`` each run under the rule, which turns numpy's
+overflow and invalid-value flags into that error, naming the function.
+Where rules nest, the outermost names the error and the innermost
+function follows in parentheses, with numpy's message.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -28,6 +38,7 @@ __all__ = [
     "ContractError",
     "DomainError",
     "OpCountReport",
+    "float_range",
     "mf_sign",
     "mf_real",
     "mf_complex",
@@ -42,6 +53,24 @@ class DomainError(ValueError):
 
 class ContractError(ValueError):
     """A call violates an interface precondition (shape, size, range)."""
+
+
+class _RangeError(DomainError):
+    """A ``float_range`` failure.  Its cause names the innermost rule and
+    carries numpy's message; every outer rule keeps that cause."""
+
+
+@contextmanager
+def float_range(what: str):
+    """Context manager and decorator: under it, a float overflow or invalid
+    operation raises one ``DomainError`` naming ``what``.  Nested rules keep
+    the innermost rule's name and numpy's message in parentheses."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except (FloatingPointError, _RangeError) as exc:
+        where = exc.__cause__ or FloatingPointError(f"{what}: {exc}")
+        raise _RangeError(f"{what} overflows the float range ({where})") from where
 
 
 @dataclass(frozen=True)
@@ -74,9 +103,8 @@ class OpCountReport:
 
 
 def _require_finite(name: str, *values) -> None:
-    for v in values:
-        if not np.all(np.isfinite(v)):
-            raise DomainError(f"{name}: operands must be finite (no NaN/Inf)")
+    if not all(np.isfinite(v).all() for v in values):  # a complex value: both parts
+        raise DomainError(f"{name}: values must be finite (no NaN/Inf)")
 
 
 def _sign_product(a, b):
@@ -128,6 +156,7 @@ def mf_sign(a, b):
     return int(s) if s.ndim == 0 else s.astype(int)
 
 
+@float_range("mf_real")
 def mf_real(a, b):
     """Sign-additive product of two reals: ``sign(a*b) * (|a| + |b|)``."""
     _require_finite("mf_real", a, b)
@@ -137,6 +166,7 @@ def mf_real(a, b):
     return float(out) if out.ndim == 0 else out
 
 
+@float_range("mf_complex")
 def mf_complex(a, b):
     """Complex sign-additive product.
 
@@ -147,12 +177,13 @@ def mf_complex(a, b):
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    _require_finite("mf_complex", a.real, a.imag, b.real, b.imag)
+    _require_finite("mf_complex", a, b)
     rr, ri = _mf_complex_raw(a.real, a.imag, b.real, b.imag)
     out = rr + 1j * ri
     return complex(out) if out.ndim == 0 else out
 
 
+@float_range("vector_product")
 def vector_product(x, y) -> float:
     """Sum of element-wise sign-additive products of two equal-length vectors.
 
@@ -171,6 +202,7 @@ def vector_product(x, y) -> float:
     return float(np.sum(_mf_real_raw(x, y)))
 
 
+@float_range("scalar_vector")
 def scalar_vector(a, x) -> np.ndarray:
     """Apply the sign-additive product of a scalar against each element."""
     _require_finite("scalar_vector", a, x)

@@ -30,7 +30,7 @@ from operator import attrgetter
 import numpy as np
 
 from .ambiguity import SPEED_OF_LIGHT, AmbiguityVariant
-from .operator import ContractError
+from .operator import ContractError, float_range
 from .transforms import ComplexSignal
 
 __all__ = [
@@ -238,6 +238,7 @@ def true_bins(scn: Scenario) -> list[tuple[int, int]]:
     ]
 
 
+@float_range("synth_surveillance")
 def synth_surveillance(scn: Scenario, s_ref: ComplexSignal) -> ComplexSignal:
     """Sum of delayed Doppler-shifted echoes, plus noise, times the gain.
 
@@ -250,23 +251,15 @@ def synth_surveillance(scn: Scenario, s_ref: ComplexSignal) -> ComplexSignal:
     delays = scn.delay_bins()
     need = scn.n + max(delays)
     if d < need:
-        raise ContractError(
-            f"synth_surveillance: reference length {d} is below n + max delay = {need}"
-        )
+        raise ContractError(f"synth_surveillance: reference length {d} is below "
+                            f"n + max delay = {need}")
     out = np.zeros(d, dtype=complex)
-    # Overflow is reported below as one error naming its key, not as warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for ob, l in zip(scn.obstacles, delays):
-            echo = ob.amplitude * ref[: d - l]
-            if ob.doppler_hz != 0.0:
-                echo *= np.exp(2j * np.pi * ob.doppler_hz * np.arange(l, d) / scn.fm.f_s)
-            out[l:] += echo
-        out = apply_noise(out, scn.noise) * scn.surv_gain
-    # Scenario bounds surv_gain times the echoes, so only the noise can overflow.
-    if not np.isfinite(out).all():
-        raise ContractError(f"synth_surveillance: 'noise' ({scn.noise.label()}) times "
-                            f"'surv_gain' {scn.surv_gain!r} passes the float range")
-    return ComplexSignal(out, scn.fm.f_s)
+    for ob, l in zip(scn.obstacles, delays):
+        echo = ob.amplitude * ref[: d - l]
+        if ob.doppler_hz != 0.0:
+            echo *= np.exp(2j * np.pi * ob.doppler_hz * np.arange(l, d) / scn.fm.f_s)
+        out[l:] += echo
+    return ComplexSignal(apply_noise(out, scn.noise) * scn.surv_gain, scn.fm.f_s)
 
 
 def add_awgn(x, snr_db: float, seed: int) -> np.ndarray:
@@ -530,9 +523,10 @@ def load_table_set(path) -> list[tuple[str, Scenario, str]]:
         if not (isinstance(env, dict) and "name" in env and "scenario" in env):
             raise SchemaError(f"key 'environments[{i}]' needs 'name' and 'scenario'")
         _fields(env, (), f"environments[{i}].", ("name", "scenario"))
-        name = env["name"]  # a CSV cell: UTF-8 text, and NUL is the writer's padding
-        if not isinstance(name, str) or any(c == "\0" or "\ud800" <= c <= "\udfff" for c in name):
-            raise SchemaError(f"key 'environments[{i}].name' must be text with no NUL or surrogate")
+        # a CSV cell: UTF-8 text; NUL is the writer's padding, and a csv reader ends a row at \r
+        name = env["name"]
+        if not isinstance(name, str) or any(c in "\0\r" or "\ud800" <= c <= "\udfff" for c in name):
+            raise SchemaError(f"key 'environments[{i}].name' must be text with no NUL, CR or surrogate")
         if isinstance(env["scenario"], dict) and "noise" in env["scenario"]:
             raise SchemaError(f"key 'environments[{i}].scenario.noise' is not allowed: "
                               "the table set's 'noises' sets the noise of every row")

@@ -40,7 +40,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .operator import ContractError, DomainError, OpCountReport, _mf_complex_laid
+from .operator import ContractError, OpCountReport, _mf_complex_laid, _require_finite, float_range
 
 __all__ = [
     "ComplexSignal",
@@ -73,8 +73,7 @@ class ComplexSignal:
         s = np.asarray(self.samples, dtype=complex)
         if s.ndim != 1 or s.size < 1:
             raise ContractError("ComplexSignal: need a 1-d sequence of length >= 1")
-        if not np.all(np.isfinite(s.real)) or not np.all(np.isfinite(s.imag)):
-            raise DomainError("ComplexSignal: samples must be finite")
+        _require_finite("ComplexSignal", s)
         if not (self.sample_rate_hz > 0):
             raise ContractError("ComplexSignal: sample_rate_hz must be positive")
         object.__setattr__(self, "samples", s)
@@ -202,8 +201,7 @@ def _as_samples(x, max_ndim: int = 1) -> np.ndarray:
     if not 1 <= s.ndim <= max_ndim or s.size < 1:
         shape = "a 1-d sequence" if max_ndim == 1 else "a 1-d sequence or a (rows, N) array"
         raise ContractError(f"transform input must be {shape} of length >= 1, got shape {s.shape}")
-    if not np.all(np.isfinite(s.real)) or not np.all(np.isfinite(s.imag)):
-        raise DomainError("transform input must be finite")
+    _require_finite("transform input", s)
     return s
 
 
@@ -258,6 +256,7 @@ def _twiddle_indices(rows: np.ndarray, n: int) -> np.ndarray:
     return km & (n - 1) if (n & (n - 1)) == 0 else km % n
 
 
+@float_range("dft_exact")
 def dft_exact(x) -> Spectrum:
     """Direct evaluation of ``X[k] = sum_n x[n] * W^(kn)``."""
     v = _as_samples(x)
@@ -267,6 +266,7 @@ def dft_exact(x) -> Spectrum:
     return Spectrum(bins, TransformKind.DFT_EXACT)
 
 
+@float_range("fft_exact")
 def fft_exact(x) -> Spectrum:
     """Radix-2 decimation-in-time FFT; matches ``dft_exact`` to ~1e-12.
 
@@ -282,6 +282,7 @@ def fft_exact(x) -> Spectrum:
     return Spectrum(_radix2(v, tbl, lambda s, b: w[s] * b), TransformKind.FFT_EXACT)
 
 
+@float_range("ndft")
 def ndft(x) -> Spectrum:
     """Nonlinear DFT: the full DFT matrix applied with the sign-additive product.
 
@@ -302,6 +303,7 @@ def ndft(x) -> Spectrum:
     return Spectrum(bins, TransformKind.NDFT)
 
 
+@float_range("nfft")
 def nfft(x) -> Spectrum:
     """Nonlinear FFT: decimation-in-time flow graph, all twiddles sign-additive.
 

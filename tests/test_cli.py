@@ -343,6 +343,11 @@ def test_ambiguity_negative_scenario_seed_names_key(tmp_path, capsys, patch, key
     # finite noise that only the gain takes past the float range
     (lambda d: d.update(noise={"kind": "eps_contaminated", "eps": 0.5, "sigma1": 1.0,
                                "sigma2": 1e306}), "noise", "eq11"),
+    # finite noise whose surface passes the float range in the transform
+    (lambda d: d.update(noise={"kind": "eps_contaminated", "eps": 0.9, "sigma1": 0.25,
+                               "sigma2": 1e303}), "noise", "eq12a"),
+    (lambda d: d.update(noise={"kind": "eps_contaminated", "eps": 0.9, "sigma1": 0.25,
+                               "sigma2": 1e305}), "noise", "eq11"),
     (lambda d: d.update(noise={"kind": "awgn", "snr_db": -4000}), "snr_db", "eq11"),
     (lambda d: d.update(noise={"kind": "awgn", "snr_db": 4000}), "snr_db", "eq11"),
     (lambda d: d.update(transform_input_gain=1e306), "transform_input_gain", "eq12a"),
@@ -367,7 +372,8 @@ def test_ambiguity_negative_scenario_seed_names_key(tmp_path, capsys, patch, key
     (lambda d: d.update(obstacles=[]), "obstacles", "eq11"),
     (lambda d: d.update(tx_km=[0, 10, 0]), "tx_km", "eq11"),
 ], ids=["x_km-nan", "l_bins-fraction", "surv_gain-overflow", "echo-overflow",
-        "noise-overflow", "noise-gain-overflow", "snr_db-underflow", "snr_db-overflow",
+        "noise-overflow", "noise-gain-overflow", "noise-nfft-overflow", "noise-fft-overflow",
+        "snr_db-underflow", "snr_db-overflow",
         "gain-overflow", "not-json", "x_km-huge", "tx_km-huge", "kf-overflow",
         "surv_gain-zero", "transform_input_gain-negative", "n-not-power-of-two", "l_bins-zero",
         "duration_samples-zero", "fs_hz-too-low", "eps-above-one", "sigma1-zero",
@@ -517,6 +523,7 @@ def test_table_bad_set_file(tmp_path, capsys):
     ({"environments": [{"name": {"a": 1}, "scenario": {}}]}, "environments[0].name"),
     ({"environments": [{"name": "\ud800x", "scenario": {}}]}, "environments[0].name"),
     ({"environments": [{"name": "a\x00b", "scenario": {}}]}, "environments[0].name"),
+    ({"environments": [{"name": "a\rb", "scenario": {}}]}, "environments[0].name"),
     ({"variants": []}, "variants"),
     ({"environments": []}, "environments"),
     ({"noises": []}, "noises"),
@@ -525,7 +532,7 @@ def test_table_bad_set_file(tmp_path, capsys):
 ], ids=["noise-key-typo", "awgn-without-snr", "unknown-noise-kind", "unknown-variant",
         "noises-not-a-list", "environment-without-scenario", "scenario-key-path",
         "unknown-top-level-key", "unknown-environment-key", "non-string-name",
-        "lone-surrogate-name", "nul-name",
+        "lone-surrogate-name", "nul-name", "carriage-return-name",
         "empty-variants", "empty-environments", "empty-noises", "scenario-noise"])
 def test_table_set_schema_errors_name_key(tmp_path, capsys, patch, key):
     scn_doc = table_set_scene(scene_path(tmp_path))
@@ -541,6 +548,24 @@ def test_table_set_schema_errors_name_key(tmp_path, capsys, patch, key):
                  "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"'{key}'" in err
+    assert sorted(os.listdir(tmp_path)) == ["scene.json", "set.json"]
+
+
+def test_table_surface_overflow_names_environment(tmp_path, capsys):
+    # eq11 keeps this noise inside the float range; eq12a's nonlinear FFT does not
+    set_path = tmp_path / "set.json"
+    set_path.write_text(json.dumps({
+        "environments": [{"name": "far field", "scenario": table_set_scene(scene_path(tmp_path))}],
+        "noises": [{"kind": "eps_contaminated", "eps": 0.9, "sigma1": 0.25, "sigma2": 1e303}],
+        "variants": ["eq11", "eq12a"],
+    }))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["table", "--set", str(set_path), "--seeds", "0",
+                     "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "environment 'far field': the eq12a surface of 'noise' (eps-cont 0.9/0.25/1e+303)" in err
     assert sorted(os.listdir(tmp_path)) == ["scene.json", "set.json"]
 
 

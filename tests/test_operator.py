@@ -1,9 +1,12 @@
 """Algebra of the sign-additive product: examples, fuzz, counting."""
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import signadd
 from signadd import (
@@ -99,6 +102,92 @@ def test_vector_product_length_mismatch():
         vector_product([1, 2, 3], [1, 2])
     with pytest.raises(ContractError):
         vector_product([], [])
+
+
+# --- the float-range rule ---------------------------------------------------------
+
+# Finite floats up to +-sys.float_info.max, drawn near the top often enough that
+# a sum of two magnitudes passes it.
+_TOP = st.floats(1e307, sys.float_info.max)
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False), _TOP, _TOP.map(lambda v: -v))
+COMPLEX = st.builds(complex, FINITE, FINITE)
+POW2 = st.sampled_from([2, 4, 8])
+
+
+def _samples(n):
+    return st.lists(COMPLEX, min_size=n, max_size=n).map(np.array)
+
+
+def _lag_args(n):
+    return st.tuples(_samples(n), _samples(n), st.integers(0, n - 1), st.just(n))
+
+
+def _ambiguity_args(n):
+    signal = _samples(n).map(lambda x: signadd.ComplexSignal(x, 1.0))
+    return st.tuples(st.sampled_from(list(signadd.AmbiguityVariant)), signal, signal,
+                     st.integers(1, n), st.just(n), FINITE)
+
+
+def _surveillance_args(amplitudes, doppler_hz, noise, surv_gain, ref):
+    # one echo per amplitude, all at delay 0: transmitter, receiver and obstacles coincide
+    try:
+        scn = signadd.Scenario(
+            tx_km=(0.0, 0.0), rx_km=(0.0, 0.0),
+            obstacles=tuple(signadd.Obstacle(0.0, 0.0, doppler_hz, a) for a in amplitudes),
+            noise=noise, fm=signadd.StereoFmConfig(duration_samples=2), n=2, l_bins=1,
+            surv_gain=surv_gain)
+    except ContractError:  # surv_gain times the amplitudes is bounded when a scenario is built
+        return None
+    return scn, signadd.ComplexSignal(ref, 200_000.0)
+
+
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# The zero-power AWGN case is a ContractError of its own, so AWGN is left out.
+NOISES = st.one_of(st.just(signadd.NoiseModel()), st.builds(
+    signadd.NoiseModel, kind=st.just("eps_contaminated"), eps=st.floats(0.0, 1.0),
+    sigma1=POSITIVE, sigma2=POSITIVE, seed=st.integers(0, 2**32)))
+
+RULED = {
+    "mf_real": st.tuples(FINITE, FINITE),
+    "mf_complex": st.tuples(COMPLEX, COMPLEX),
+    "vector_product": st.integers(1, 8).flatmap(
+        lambda k: st.tuples(*[st.lists(FINITE, min_size=k, max_size=k)] * 2)),
+    "scalar_vector": st.tuples(FINITE, st.lists(FINITE, min_size=1, max_size=8)),
+    "dft_exact": st.integers(1, 8).flatmap(_samples).map(lambda x: (x,)),
+    "ndft": st.integers(1, 8).flatmap(_samples).map(lambda x: (x,)),
+    "fft_exact": POW2.flatmap(_samples).map(lambda x: (x,)),
+    "nfft": POW2.flatmap(_samples).map(lambda x: (x,)),
+    "lag_product_exact": POW2.flatmap(_lag_args),
+    "lag_product_mf": POW2.flatmap(_lag_args),
+    "compute_ambiguity": POW2.flatmap(_ambiguity_args),
+    "synth_surveillance": st.builds(
+        _surveillance_args, st.lists(COMPLEX, min_size=1, max_size=3), FINITE, NOISES,
+        POSITIVE, _samples(2)).filter(lambda args: args is not None),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(RULED))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_ruled_function_is_finite_or_raises_domain_error_property(name, data):
+    args = data.draw(RULED[name])
+    try:
+        out = getattr(signadd, name)(*args)
+    except DomainError:
+        return
+    for attr in ("bins", "values", "samples"):  # Spectrum, AmbiguitySurface, ComplexSignal
+        out = getattr(out, attr, out)
+    assert np.isfinite(out).all()
+
+
+def test_outermost_rule_names_the_error():
+    with pytest.raises(DomainError) as err:
+        with signadd.float_range("outer"):
+            with signadd.float_range("inner"):
+                mf_real(1.7e308, 1.7e308)
+    # numpy's message follows the innermost rule's name
+    assert str(err.value).startswith("outer overflows the float range (mf_real: overflow")
 
 
 # --- fuzzed invariants ---------------------------------------------------------
