@@ -299,7 +299,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         folder = os.path.dirname(args.out) or "."
-        if not os.path.isdir(folder):  # checked before anything is computed
+        if os.path.basename(args.out) in ("", ".", ".."):  # checked before anything is computed
+            raise ContractError(f"--out {args.out!r}: the prefix ends in a folder, not a file name")
+        if not os.path.isdir(folder):
             raise ContractError(f"--out {args.out}: {folder} is not an existing directory")
         return args.func(args)
     except (ContractError, DomainError, SchemaError, OSError) as exc:

@@ -111,8 +111,9 @@ class TwiddleTable:
 
     Entries at quarter-turn multiples are exact (1, -1j, -1, 1j); the rest
     come from cos/sin of the reduced angle.  For power-of-two sizes the
-    table also caches, on first use, the bit-reversal permutation and, per
-    row count of a block, each radix-2 stage's twiddles and ``nfft`` parts.
+    table also caches, on first use, the bit-reversal permutation, the
+    gather at the split of ``_radix2`` and, per row count of a block, each
+    radix-2 stage's twiddles and ``nfft`` parts.
     """
 
     _QUADRANT = (
@@ -151,6 +152,18 @@ class TwiddleTable:
         return tuple(self.entries[np.arange(1 << s) * (n >> (s + 1))]
                      for s in range(_require_pow2(n, "radix-2 stages")))
 
+    def split_gather(self, split: int) -> np.ndarray:
+        """Row indices that take the natural-order data of ``_radix2`` after
+        ``split`` stages, ``(h, N/h)`` with ``h = 2**split``, to the in-place
+        layout ``(N/h, h)``, whose block ``j`` holds residue class ``rev(j)``."""
+        idx = self._laid.get(("split", split))
+        if idx is None:
+            m = self.n >> split
+            rev = self.bit_reverse[:m] >> split  # rev(j) over log2(m) bits
+            idx = self._laid["split", split] = (rev[:, None] + m * np.arange(1 << split)).ravel()
+            idx.setflags(write=False)
+        return idx
+
     def _by_rows(self, key, make) -> tuple:
         """``make(w)`` of each stage's twiddles ``w``, cached under ``key``."""
         laid = self._laid.get(key)
@@ -168,6 +181,13 @@ class TwiddleTable:
         imaginary part of its twiddles, ``(s_wr, s_wi, m_wr, m_wi)``, each laid
         out ``(h, rows, 2)`` over the float view of an ``(N, rows)`` block."""
         return self._by_rows(("nfft", rows), lambda w: _laid_parts(w, rows, 2))
+
+    @cached_property
+    def natural_parts(self) -> tuple:
+        """Per radix-2 stage, the ``nfft`` parts of its twiddles shaped
+        ``(h, 1, 1)``: constant along each row of a natural-order stage's odd
+        branch, they broadcast over its float view ``(h, r*rows, 2)``."""
+        return tuple(_laid_parts(w, 1, 1) for w in self._stages)
 
 
 def _laid_out(w: np.ndarray, *shape) -> np.ndarray:
@@ -219,24 +239,49 @@ def _row_blocks(count: int, width: int) -> list[np.ndarray]:
     return np.array_split(np.arange(count), max(1, count // rows))
 
 
+def _split(n: int) -> int:
+    """The natural-order stages of an ``n``-point ``_radix2``, ``log2(n) // 2``:
+    those whose natural-order runs, ``n/2h``, are at least their in-place
+    runs, ``h`` (DECISIONS.md 22)."""
+    return (n.bit_length() - 1) // 2
+
+
 def _radix2(v: np.ndarray, tbl: TwiddleTable, product) -> np.ndarray:
     """Radix-2 decimation-in-time flow graph over each row of ``v``.
 
-    One gather bit-reverses every row into a column of an ``(N, rows)``
-    array.  Stage ``s`` views the columns as ``(N/2h, 2, h, rows)``, ``h = 2**s``,
-    so every inner loop covers ``h*rows`` elements, and writes ``a + t`` and
-    ``a - t`` of its even branch ``a`` and ``t = product(s, odd branch)`` into
-    the other of two buffers.  Returns the bins shaped like ``v``.
+    The rows become the columns of an ``(N, rows)`` copy.  Stage ``s``,
+    ``h = 2**s``, ``r = N/2h``, writes ``a + t`` and ``a - t`` of its even
+    branch ``a`` and ``t = product(s, odd branch)`` into the other of two
+    buffers, in one of two layouts:
+
+    * natural order, the first ``_split(N)`` stages: the data are
+      ``(h, 2r*rows)``, row ``k`` holding the ``h``-point bins ``k`` of the
+      residue classes mod ``2r`` in order.  The odd branch is the second
+      half of each row, a 2-d ``(h, r*rows)``; ``a + t`` fills the first
+      half of the buffer and ``a - t`` the second.
+    * in place, after one gather (``TwiddleTable.split_gather``): the data
+      are ``(r, 2, h, rows)``, block ``j`` holding residue class ``rev(j)``,
+      and the odd branch is a 3-d ``(r, h, rows)``.
+
+    So every inner loop covers ``r*rows`` or ``h*rows`` elements.  Returns
+    the bins shaped like ``v``.
     """
     n = v.shape[-1]
-    y = v.reshape(-1, n).T[tbl.bit_reverse]
+    split = _split(n)
+    y = v.reshape(-1, n).T.copy()  # a copy: the stages write both buffers
     out = np.empty_like(y)
-    rows = y.shape[1]
     for s in range(n.bit_length() - 1):
-        y4, out4 = (z.reshape(-1, 2, 1 << s, rows) for z in (y, out))
-        t = product(s, y4[:, 1])
-        np.add(y4[:, 0], t, out=out4[:, 0])
-        np.subtract(y4[:, 0], t, out=out4[:, 1])
+        h = 1 << s
+        if s == split:
+            # mode="clip" writes out= unbuffered; every index is in range
+            y, out = np.take(y, tbl.split_gather(split), axis=0, out=out, mode="clip"), y
+        if s < split:  # a, b = y as (h, 2, r*rows) [:, 0] and [:, 1]
+            (a, b), (lo, hi) = y.reshape(h, 2, -1).swapaxes(0, 1), out.reshape(2, h, -1)
+        else:  # a, b = y as (r, 2, h, rows) [:, 0] and [:, 1]; lo, hi likewise of out
+            (a, b), (lo, hi) = (z.reshape(n >> (s + 1), 2, h, -1).swapaxes(0, 1) for z in (y, out))
+        t = product(s, b)
+        np.add(a, t, out=lo)
+        np.subtract(a, t, out=hi)
         y, out = out, y
     return np.ascontiguousarray(y.T).reshape(v.shape)
 
@@ -278,8 +323,10 @@ def fft_exact(x) -> Spectrum:
     n = v.shape[-1]
     _require_pow2(n, "fft_exact")
     tbl = twiddle_table(n)
-    w = tbl.stage_twiddles(v.size // n)
-    return Spectrum(_radix2(v, tbl, lambda s, b: w[s] * b), TransformKind.FFT_EXACT)
+    # by the odd branch's ndim: (h, 1) twiddles broadcast along a natural-order
+    # stage's rows, (h, rows) ones laid out over an in-place stage's blocks
+    w = {2: tbl.stage_twiddles(1), 3: tbl.stage_twiddles(v.size // n)}
+    return Spectrum(_radix2(v, tbl, lambda s, b: w[b.ndim][s] * b), TransformKind.FFT_EXACT)
 
 
 @float_range("ndft")
@@ -320,12 +367,12 @@ def nfft(x) -> Spectrum:
     n = v.shape[-1]
     _require_pow2(n, "nfft")
     tbl = twiddle_table(n)
-    parts = tbl.nfft_stages(v.size // n)
+    parts = {2: tbl.natural_parts, 3: tbl.nfft_stages(v.size // n)}  # as in fft_exact
     f = np.ascontiguousarray(v).view(float)
     unity = (np.sign(f) * (1.0 + np.abs(f))).view(complex)
 
     def product(s, b):  # the bottom stage's products are the unity ones, taken up front
-        return b if s == 0 else _mf_complex_laid(parts[s], b)
+        return b if s == 0 else _mf_complex_laid(parts[b.ndim][s], b)
 
     return Spectrum(_radix2(unity, tbl, product), TransformKind.NFFT)
 

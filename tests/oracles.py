@@ -46,6 +46,20 @@ def nfft_recursive(x):
     return out
 
 
+def nfft_levels(x):
+    """``nfft_recursive`` along the last axis, so one sequence or a ``(rows, N)``
+    array: the same recursion, products and sums, each level's taken by
+    ``mf_complex`` over whole arrays instead of one element at a time."""
+    x = np.asarray(x, dtype=complex)
+    n = x.shape[-1]
+    w = twiddle_table(n).entries[: n // 2]
+    if n == 2:
+        even, odd = mf_complex(w[0], x[..., :1]), x[..., 1:]
+    else:
+        even, odd = nfft_levels(x[..., 0::2]), nfft_levels(x[..., 1::2])
+    return np.concatenate([even + mf_complex(w, odd), even + mf_complex(-w, odd)], axis=-1)
+
+
 def fft_recursive(x):
     """Recursive decimation-in-time reference for the exact FFT.
 

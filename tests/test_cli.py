@@ -793,7 +793,8 @@ def unreachable(*args, **kwargs):
     raise AssertionError("computed before --out was checked")
 
 
-@pytest.mark.parametrize("argv,patch", [
+# each command, with a patch that fails the test if the command computes anything
+COMMANDS_UNCOMPUTED = pytest.mark.parametrize("argv,patch", [
     (["transform", "--kind", "fft", "--tone", "1", "--n", "8"],
      lambda: mock.patch.dict(cli._TRANSFORMS, dict.fromkeys(cli._TRANSFORMS, unreachable))),
     (["ambiguity", "--scenario", str(DEMOS / "scenario_benchmark.json"), "--variant", "eq11"],
@@ -802,12 +803,30 @@ def unreachable(*args, **kwargs):
     (["opcount", "--n-list", "2,4"],
      lambda: mock.patch.dict(cli._TRANSFORMS, dict.fromkeys(cli._TRANSFORMS, unreachable))),
 ], ids=["transform", "ambiguity", "table", "opcount"])
+
+
+@COMMANDS_UNCOMPUTED
 def test_out_in_missing_directory_fails_before_computing(tmp_path, capsys, argv, patch):
     missing = tmp_path / "missing"
     with patch():
         assert main(argv + ["--out", str(missing / "o")]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"--out {missing / 'o'}: {missing} is not" in err
+    assert os.listdir(tmp_path) == []
+
+
+@COMMANDS_UNCOMPUTED
+@pytest.mark.parametrize("out", ["{tmp}" + os.sep, "", "{tmp}" + os.sep + ".", ".."],
+                         ids=["folder", "empty", "dot", "dot-dot"])
+def test_out_without_file_name_fails_before_computing(tmp_path, monkeypatch, capsys, argv, patch, out):
+    # Each prefix names a folder: "DIR/" would write the hidden files DIR/.spectrum.csv
+    # and DIR/.manifest.json, "DIR/." and ".." files named from two and three dots.
+    monkeypatch.chdir(tmp_path)
+    out = out.format(tmp=tmp_path)
+    with patch():
+        assert main(argv + ["--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"--out {out!r}: the prefix ends in a folder, not a file name" in err
     assert os.listdir(tmp_path) == []
 
 

@@ -39,7 +39,7 @@ def random_signal(g, n):
     return g.standard_normal(n) + 1j * g.standard_normal(n)
 
 
-from oracles import fft_recursive, ndft_double_loop, nfft_recursive
+from oracles import fft_recursive, ndft_double_loop, nfft_levels, nfft_recursive
 from signadd.operator import _mf_complex_laid, _mf_complex_raw
 
 
@@ -456,6 +456,50 @@ def test_batched_input_contract(transform):
         with pytest.raises(ContractError) as err:
             transform(bad)
         assert "\n" not in str(err.value) and str(bad.shape) in str(err.value)
+
+
+# --- radix-2 layouts ----------------------------------------------------------------
+
+@pytest.mark.parametrize("bits", range(1, 13))
+def test_radix2_split_is_only_a_layout_choice(monkeypatch, bits):
+    # Every split of the stages into natural-order and in-place ones runs the
+    # same flow graph: the bins keep their bytes, signed zeros planted.
+    n = 1 << bits
+    x = batch_rows(np.random.default_rng(bits), 5, n)
+    want = {fft_exact: fft_recursive(x), nfft: nfft_levels(x)}
+    if n <= 64:
+        assert want[nfft].tobytes() == np.stack([nfft_recursive(row) for row in x]).tobytes()
+    for split in range(bits + 1):
+        monkeypatch.setattr(transforms, "_split", lambda n: split)
+        for transform, bins in want.items():
+            assert transform(x[0]).bins.tobytes() == bins[0].tobytes()
+            for rows in range(1, 6):
+                assert transform(x[:rows]).bins.tobytes() == bins[:rows].tobytes(), (split, rows)
+
+
+def input_layouts(n):
+    """One input of ``n`` samples a row in each memory layout a caller may pass."""
+    block = batch_rows(rng(), 6, 2 * n)
+    return {
+        "1-d": block[0, :n].copy(),
+        "1-d strided": block[1, ::2],
+        "(1, N)": block[:1, :n].copy(),
+        "(rows, N)": block[:3, :n].copy(),
+        "Fortran": np.asfortranarray(block[:3, :n]),
+        "strided": block[::2, ::2],
+    }
+
+
+@pytest.mark.parametrize(("transform", "n"), [(t, n) for t in (fft_exact, nfft) for n in (2, 8, 4096)]
+                         + [(t, n) for t in (ndft, dft_exact) for n in (2, 8, 256)])
+def test_transforms_leave_their_input_unchanged(transform, n):
+    # The radix-2 stages write both of their buffers; neither may be the caller's array.
+    for name, x in input_layouts(n).items():
+        if x.ndim == 2 and transform in (ndft, dft_exact):
+            continue
+        before = x.tobytes()
+        transform(x)
+        assert x.tobytes() == before, name
 
 
 # --- peak index --------------------------------------------------------------------
