@@ -41,7 +41,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .operator import ContractError, OpCountReport, _mf_complex_raw, float_range
-from .transforms import ComplexSignal, TransformKind, _row_blocks, fft_exact, nfft, transform_cost
+from .transforms import (ComplexSignal, TransformKind, _as_samples, _row_blocks, fft_exact, nfft,
+                         transform_cost)
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -152,8 +153,7 @@ class AmbiguitySurface:
 def _lag_slices(s_surv, s_ref, l, n: int | None):
     """The first ``n`` surveillance samples and the conjugated reference
     delayed by each lag in ``l`` (an int, or a 1-d array giving one row per lag)."""
-    surv = s_surv.samples if isinstance(s_surv, ComplexSignal) else np.asarray(s_surv, dtype=complex)
-    ref = s_ref.samples if isinstance(s_ref, ComplexSignal) else np.asarray(s_ref, dtype=complex)
+    surv, ref = _as_samples(s_surv, "s_surv"), _as_samples(s_ref, "s_ref")
     if n is None:
         n = surv.size
     lags = np.asarray(l)

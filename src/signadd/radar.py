@@ -31,7 +31,7 @@ import numpy as np
 
 from .ambiguity import SPEED_OF_LIGHT, AmbiguityVariant
 from .operator import ContractError, float_range
-from .transforms import ComplexSignal
+from .transforms import ComplexSignal, _as_samples
 
 __all__ = [
     "StereoFmConfig",
@@ -200,8 +200,7 @@ class Scenario:
 
 def gen_stereo_fm(cfg: StereoFmConfig) -> ComplexSignal:
     """Generate the unit-modulus FM baseband signal, deterministic per seed."""
-    rng = np.random.default_rng(cfg.seed)
-    x = rng.uniform(-1.0, 1.0, size=(2, cfg.duration_samples))
+    x = _rng(cfg.seed, "gen_stereo_fm").uniform(-1.0, 1.0, size=(2, cfg.duration_samples))
     x1, x2 = x[0], x[1]
     t = np.arange(cfg.duration_samples) / cfg.f_s
     m = (
@@ -246,7 +245,7 @@ def synth_surveillance(scn: Scenario, s_ref: ComplexSignal) -> ComplexSignal:
     the capture origin), so an echo delayed by ``l`` is silent for i < l.
     Doppler phase runs on the global sample index.
     """
-    ref = s_ref.samples
+    ref = _as_samples(s_ref, "synth_surveillance")
     d = ref.size
     delays = scn.delay_bins()
     need = scn.n + max(delays)
@@ -262,17 +261,20 @@ def synth_surveillance(scn: Scenario, s_ref: ComplexSignal) -> ComplexSignal:
     return ComplexSignal(apply_noise(out, scn.noise) * scn.surv_gain, scn.fm.f_s)
 
 
+def _rng(seed: int, what: str) -> np.random.Generator:
+    if seed < 0:
+        raise ContractError(f"{what}: 'seed' {seed!r} must be >= 0")
+    return np.random.default_rng(seed)
+
+
 def add_awgn(x, snr_db: float, seed: int) -> np.ndarray:
     """Add circular complex Gaussian noise at the given empirical SNR."""
-    x = x.samples if isinstance(x, ComplexSignal) else np.asarray(x, dtype=complex)
-    if x.size < 1:
-        raise ContractError("add_awgn: empty input")
+    x = _as_samples(x, "add_awgn")
     p_sig = float(np.mean(np.abs(x) ** 2))
     if p_sig <= 0.0:
         raise ContractError("add_awgn: zero-power input with finite SNR target")
     p_noise = p_sig / 10.0 ** (snr_db / 10.0)
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((2, x.size)) * math.sqrt(p_noise / 2.0)
+    z = _rng(seed, "add_awgn").standard_normal((2, x.size)) * math.sqrt(p_noise / 2.0)
     return x + z[0] + 1j * z[1]
 
 
@@ -280,8 +282,8 @@ def add_contaminated(x, eps: float, sigma1: float, sigma2: float, seed: int) -> 
     """Two-component Gaussian mixture noise, drawn independently per
     component: with probability ``eps`` the narrow N(0, sigma1^2), else the
     wide N(0, sigma2^2)."""
-    x = x.samples if isinstance(x, ComplexSignal) else np.asarray(x, dtype=complex)
-    rng = np.random.default_rng(seed)
+    x = _as_samples(x, "add_contaminated")
+    rng = _rng(seed, "add_contaminated")
     sigma = np.where(rng.random((2, x.size)) < eps, sigma1, sigma2)
     z = rng.standard_normal((2, x.size)) * sigma
     return x + z[0] + 1j * z[1]
@@ -289,7 +291,7 @@ def add_contaminated(x, eps: float, sigma1: float, sigma2: float, seed: int) -> 
 
 def apply_noise(x: np.ndarray, noise: NoiseModel) -> np.ndarray:
     if noise.kind is NoiseKind.NONE:
-        return x
+        return _as_samples(x, "apply_noise")
     if noise.kind is NoiseKind.AWGN:
         return add_awgn(x, noise.snr_db, noise.seed)
     return add_contaminated(x, noise.eps, noise.sigma1, noise.sigma2, noise.seed)

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .operator import ContractError
+from .operator import ContractError, _require_finite
 
 __all__ = ["line_svg"]
 
@@ -30,6 +30,7 @@ def line_svg(x, y, title: str, xlabel: str, ylabel: str,
     y = np.asarray(y, dtype=float)
     if x.size != y.size or x.size < 2:
         raise ContractError("line_svg: need two equal-length series of >= 2 points")
+    _require_finite("line_svg", x, y)
     x0, x1 = float(x.min()), float(x.max())
     y0, y1 = float(y.min()), float(y.max())
     if x1 == x0:

@@ -70,13 +70,9 @@ class ComplexSignal:
     sample_rate_hz: float
 
     def __post_init__(self):
-        s = np.asarray(self.samples, dtype=complex)
-        if s.ndim != 1 or s.size < 1:
-            raise ContractError("ComplexSignal: need a 1-d sequence of length >= 1")
-        _require_finite("ComplexSignal", s)
+        object.__setattr__(self, "samples", _as_samples(self.samples, "ComplexSignal"))
         if not (self.sample_rate_hz > 0):
             raise ContractError("ComplexSignal: sample_rate_hz must be positive")
-        object.__setattr__(self, "samples", s)
 
     def __len__(self) -> int:
         return self.samples.size
@@ -209,19 +205,22 @@ def twiddle_table(n: int) -> TwiddleTable:
 
 
 def unit_tone(k0: int, n: int) -> np.ndarray:
-    """``exp(+2j*pi*k0*m/n)`` sampled on the same exact grid as the twiddles."""
+    """``exp(+2j*pi*k0*m/n)`` sampled on the same exact grid as the twiddles;
+    ``k0`` is reduced mod ``n`` first, as ``k0 * m`` could pass the int64 range."""
     tbl = twiddle_table(n)
-    return np.conj(tbl.entries[(k0 * np.arange(n)) % n])
+    return np.conj(tbl.entries[((k0 % n) * np.arange(n)) % n])
 
 
-def _as_samples(x, max_ndim: int = 1) -> np.ndarray:
+def _as_samples(x, what: str, max_ndim: int = 1) -> np.ndarray:
+    """A ``ComplexSignal``'s samples as they are (no copy, no scan); else ``x`` as a finite,
+    non-empty complex array of 1 to ``max_ndim`` dimensions, or one error naming ``what``."""
     if isinstance(x, ComplexSignal):
         return x.samples
     s = np.asarray(x, dtype=complex)
     if not 1 <= s.ndim <= max_ndim or s.size < 1:
         shape = "a 1-d sequence" if max_ndim == 1 else "a 1-d sequence or a (rows, N) array"
-        raise ContractError(f"transform input must be {shape} of length >= 1, got shape {s.shape}")
-    _require_finite("transform input", s)
+        raise ContractError(f"{what}: need {shape} of length >= 1, got shape {s.shape}")
+    _require_finite(what, s)
     return s
 
 
@@ -304,7 +303,7 @@ def _twiddle_indices(rows: np.ndarray, n: int) -> np.ndarray:
 @float_range("dft_exact")
 def dft_exact(x) -> Spectrum:
     """Direct evaluation of ``X[k] = sum_n x[n] * W^(kn)``."""
-    v = _as_samples(x)
+    v = _as_samples(x, "dft_exact")
     n = v.size
     tbl = twiddle_table(n)
     bins = np.concatenate([tbl.entries[_twiddle_indices(rows, n)] @ v for rows in _row_blocks(n, n)])
@@ -319,7 +318,7 @@ def fft_exact(x) -> Spectrum:
     multiplies its odd branch by the exact stage twiddle; the bins equal
     ``tests/oracles.py::fft_recursive`` byte for byte.
     """
-    v = _as_samples(x, max_ndim=2)
+    v = _as_samples(x, "fft_exact", max_ndim=2)
     n = v.shape[-1]
     _require_pow2(n, "fft_exact")
     tbl = twiddle_table(n)
@@ -339,7 +338,7 @@ def ndft(x) -> Spectrum:
     accumulate column-by-column in index order (an in-place ``cumsum``, see
     DECISIONS.md 8), bit-for-bit identical to an explicit scalar double loop.
     """
-    v = _as_samples(x)
+    v = _as_samples(x, "ndft")
     n = v.size
     tbl = twiddle_table(n)
     parts = _laid_parts(v, 2)
@@ -363,7 +362,7 @@ def nfft(x) -> Spectrum:
     ``(rows, N)`` array of them; the bins equal the pairwise evaluation of
     ``tests/oracles.py::nfft_recursive`` byte for byte.
     """
-    v = _as_samples(x, max_ndim=2)
+    v = _as_samples(x, "nfft", max_ndim=2)
     n = v.shape[-1]
     _require_pow2(n, "nfft")
     tbl = twiddle_table(n)
@@ -379,9 +378,7 @@ def nfft(x) -> Spectrum:
 
 def peak_index(s) -> int:
     """Index of the largest-magnitude bin; ties go to the smallest index."""
-    bins = s.bins if isinstance(s, Spectrum) else np.asarray(s)
-    if bins.size < 1:
-        raise ContractError("peak_index: spectrum must be non-empty")
+    bins = _as_samples(s.bins if isinstance(s, Spectrum) else s, "peak_index", max_ndim=2)
     return int(np.argmax(np.abs(bins)))
 
 

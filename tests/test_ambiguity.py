@@ -7,6 +7,7 @@ from signadd import (
     AmbiguityVariant,
     ComplexSignal,
     ContractError,
+    DomainError,
     SPEED_OF_LIGHT,
     build_signals,
     compute_ambiguity,
@@ -83,6 +84,17 @@ def test_lag_contract_errors():
         lag_product_mf(np.ones(4, dtype=complex), np.ones(8, dtype=complex), 0, n=8)
     with pytest.raises(ContractError, match="reference signal too short for n=8, lag=1"):
         lag_product_exact(np.ones(8, dtype=complex), np.ones(6, dtype=complex), 1, n=8)
+    # the sample contract (transforms._as_samples) names the argument; a quiet
+    # NaN sets no float flag, so the float-range rule alone would pass it
+    surv = np.ones(8, dtype=complex)
+    surv[2] = np.nan
+    for lag_fn in (lag_product_exact, lag_product_mf):
+        with pytest.raises(DomainError, match="^s_surv: values must be finite"):
+            lag_fn(surv, np.ones(8, dtype=complex), 0)
+        with pytest.raises(DomainError, match="^s_ref: values must be finite"):
+            lag_fn(np.ones(4), [1, np.inf, 1, 1], 0)
+        with pytest.raises(ContractError, match=r"^s_ref: need a 1-d sequence .* shape \(2, 4\)"):
+            lag_fn(np.ones(4), np.ones((2, 4)), 0)
 
 
 @pytest.mark.parametrize("l_bins,surv,ref,message", [

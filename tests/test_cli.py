@@ -21,6 +21,7 @@ from signadd import (AmbiguitySurface, DomainError, NoiseKind, NoiseModel, cli, 
                      save_scenario, two_targets_one_clutter)
 from signadd.cli import main
 from signadd.radar import load_scenario, load_table_set
+from signadd.render import line_svg
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -72,6 +73,21 @@ def test_transform_tone_nfft(tmp_path):
     _, rows = read_csv(out + ".spectrum.csv")
     mags = [float(r[3]) for r in rows]
     assert int(np.argmax(mags)) == 7
+
+
+def test_transform_huge_tone(tmp_path):
+    # K0 is reduced mod N before it meets the int64 index grid
+    out = str(tmp_path / "t")
+    assert main(["transform", "--kind", "fft", "--tone", str(10**20 + 3), "--n", "8",
+                 "--out", out]) == 0
+    _, rows = read_csv(out + ".spectrum.csv")
+    assert int(np.argmax([float(r[3]) for r in rows])) == 3
+
+
+def test_line_svg_rejects_non_finite_points():
+    for x, y in (([0, 1, 2], [0, np.nan, 1]), ([0, np.inf, 2], [0, 1, 1])):
+        with pytest.raises(DomainError, match="^line_svg: values must be finite"):
+            line_svg(x, y, "t", "x", "y")
 
 
 def test_transform_fft_matches_dft(tmp_path):

@@ -21,6 +21,7 @@ def test_demo_runs(tmp_path, demo):
     # a copy in tmp_path writes its out/ there, not into the repository
     script = shutil.copy(demo, tmp_path)
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
-    proc = subprocess.run([sys.executable, script], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
+    # the warning rule pyproject.toml sets for the tests holds in each demo too
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", script],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

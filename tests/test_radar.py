@@ -35,6 +35,7 @@ from signadd import (
 )
 from signadd.radar import (
     SchemaError,
+    apply_noise,
     four_targets_two_clutters,
     one_target_three_clutters,
     reseed_scenario,
@@ -199,6 +200,24 @@ def test_surv_gain_applied_after_noise():
         transform_input_gain=low.transform_input_gain)
     _, s_high = build_signals(high)
     assert np.allclose(s_high.samples, 2.0 * s_low.samples, rtol=0, atol=0)
+
+
+def test_synth_surveillance_takes_raw_reference_samples():
+    scn = two_targets_one_clutter()
+    ref = gen_stereo_fm(scn.fm)
+    assert (synth_surveillance(scn, ref.samples).samples.tobytes()
+            == synth_surveillance(scn, ref).samples.tobytes())
+
+
+@pytest.mark.parametrize("call,what", [
+    (lambda: gen_stereo_fm(StereoFmConfig(seed=-1)), "gen_stereo_fm"),
+    (lambda: apply_noise(np.ones(8), NoiseModel(kind="awgn", snr_db=3.0, seed=-1)), "add_awgn"),
+    (lambda: apply_noise(np.ones(8), NoiseModel(kind="eps_contaminated", seed=-3)),
+     "add_contaminated"),
+], ids=["fm", "awgn", "contaminated"])
+def test_negative_seed_names_seed(call, what):
+    with pytest.raises(ContractError, match=rf"^{what}: 'seed' -\d must be >= 0$"):
+        call()
 
 
 def test_insufficient_reference_length():

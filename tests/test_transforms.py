@@ -9,18 +9,27 @@ from signadd import (
     ComplexSignal,
     ContractError,
     DomainError,
+    NoiseModel,
     OpCountReport,
     Spectrum,
     TransformKind,
+    add_awgn,
+    add_contaminated,
+    compute_ambiguity,
     dft_exact,
     fft_exact,
+    lag_product_exact,
+    lag_product_mf,
     ndft,
     nfft,
     peak_index,
+    synth_surveillance,
     twiddle_table,
+    two_targets_one_clutter,
     unit_tone,
 )
 from signadd import transforms
+from signadd.radar import apply_noise
 from signadd.transforms import (
     dft_complex_muls,
     fft_complex_muls,
@@ -61,6 +70,55 @@ def test_transforms_accept_complex_signal():
     assert peak_index(fft_exact(sig)) == 3
 
 
+# The one sample contract, transforms._as_samples: per function taking samples,
+# its call on a raw sample array, the name its error gives, and its largest ndim.
+_SCENE = two_targets_one_clutter(n=64, l_bins=64)  # reference of 128 samples
+_TAKES_SAMPLES = {
+    "ComplexSignal": (lambda x: ComplexSignal(x, 1.0), "ComplexSignal", 1),
+    "dft_exact": (dft_exact, "dft_exact", 1),
+    "fft_exact": (fft_exact, "fft_exact", 2),
+    "ndft": (ndft, "ndft", 1),
+    "nfft": (nfft, "nfft", 2),
+    "lag_product_exact": (lambda x: lag_product_exact(x, np.ones(8), 0, 4), "s_surv", 1),
+    "lag_product_mf": (lambda x: lag_product_mf(np.ones(8), x, 0, 4), "s_ref", 1),
+    "compute_ambiguity": (lambda x: compute_ambiguity(
+        "eq12a", x, ComplexSignal(np.ones(8), 1.0), 2, 4), "s_surv", 1),
+    "synth_surveillance": (lambda x: synth_surveillance(_SCENE, x), "synth_surveillance", 1),
+    "add_awgn": (lambda x: add_awgn(x, 3.0, 0), "add_awgn", 1),
+    "add_contaminated": (lambda x: add_contaminated(x, 0.9, 0.25, 10.0, 0), "add_contaminated", 1),
+    "apply_noise": (lambda x: apply_noise(x, NoiseModel()), "apply_noise", 1),
+    "peak_index": (peak_index, "peak_index", 2),
+}
+
+
+def _bad_samples(kind, max_ndim):
+    x = np.ones(128, dtype=complex)
+    if kind in ("nan", "inf"):
+        x[5] = complex(0.0, np.nan) if kind == "nan" else np.inf  # either part counts
+        return x
+    if kind == "empty":
+        return x[:0]
+    return x.reshape((2,) * max_ndim + (-1,))  # one dimension too many
+
+
+@pytest.mark.parametrize("kind", ["nan", "inf", "empty", "ndim"])
+@pytest.mark.parametrize("name", _TAKES_SAMPLES)
+def test_sample_contract_names_function_or_argument(name, kind):
+    call, what, max_ndim = _TAKES_SAMPLES[name]
+    with pytest.raises((ContractError, DomainError)) as err:
+        call(_bad_samples(kind, max_ndim))
+    message = str(err.value)
+    assert message.startswith(f"{what}: ") and "\n" not in message, message
+    assert (err.type is DomainError) == (kind in ("nan", "inf")), message
+
+
+def test_sample_contract_passes_a_signal_through():
+    # the hot paths hand over ComplexSignals: no copy, no scan
+    sig = ComplexSignal(unit_tone(3, 16), 200_000.0)
+    assert transforms._as_samples(sig, "x") is sig.samples
+    assert transforms._as_samples(sig, "x", max_ndim=2) is sig.samples
+
+
 # --- twiddle table ---------------------------------------------------------------
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 12, 64, 4096])
@@ -84,6 +142,12 @@ def test_bit_reverse_matches_reversed_binary_digits():
         rev = transforms.TwiddleTable(n).bit_reverse
         assert rev.tolist() == [int(f"{i:0{bits}b}"[::-1], 2) for i in range(n)]
         assert rev.dtype == np.intp and not rev.flags.writeable
+
+
+@pytest.mark.parametrize("n", [3, 8, 12])
+@pytest.mark.parametrize("k0", [2**63 - 1, 2**63, 10**20, -(10**20), -(2**63), -1, -7])
+def test_unit_tone_reduces_huge_and_negative_k0(k0, n):
+    assert unit_tone(k0, n).tobytes() == unit_tone(k0 % n, n).tobytes()
 
 
 def test_unit_tone_exact_grid():
