@@ -41,8 +41,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .operator import ContractError, OpCountReport, _mf_complex_raw, float_range
-from .transforms import (ComplexSignal, TransformKind, _as_samples, _row_blocks, fft_exact, nfft,
-                         transform_cost)
+from .transforms import (ComplexSignal, TransformKind, _as_int, _as_samples, _require_pow2,
+                         _row_blocks, fft_exact, nfft, transform_cost)
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -152,14 +152,11 @@ class AmbiguitySurface:
 
 def _lag_slices(s_surv, s_ref, l, n: int | None):
     """The first ``n`` surveillance samples and the conjugated reference
-    delayed by each lag in ``l`` (an int, or a 1-d array giving one row per lag)."""
+    delayed by each lag >= 0 in ``l``: an int, or a non-empty 1-d integer array, one row per lag."""
     surv, ref = _as_samples(s_surv, "s_surv"), _as_samples(s_ref, "s_ref")
-    if n is None:
-        n = surv.size
-    lags = np.asarray(l)
+    n = surv.size if n is None else _as_int(n, "n", 1)
+    lags = np.asarray(_as_int(l, "lag", 0, max_ndim=1))
     lo, hi = lags.min(), lags.max()
-    if lo < 0:
-        raise ContractError(f"lag must be non-negative, got {lo}")
     if hi >= ref.size:
         raise ContractError(f"lag {hi} is not below the reference length {ref.size}")
     if surv.size < n:
@@ -223,8 +220,8 @@ def compute_ambiguity(variant, s_surv, s_ref, l_bins: int, n: int,
     """
     variant = AmbiguityVariant(variant)
     mf_lag, nonlinear = _STAGES[variant]
-    if l_bins < 1:
-        raise ContractError("l_bins must be >= 1")
+    l_bins = _as_int(l_bins, "compute_ambiguity: 'l_bins'", 1)
+    _require_pow2(n, "compute_ambiguity")
     rates = {sig.sample_rate_hz for sig in (s_surv, s_ref) if isinstance(sig, ComplexSignal)}
     if len(rates) != 1:
         raise ContractError("surveillance and reference sample rates differ" if rates else

@@ -28,6 +28,7 @@ from .ambiguity import (DB_FLOOR_CAP, AmbiguitySurface, AmbiguityVariant, comput
 from .operator import ContractError, OpCountReport, float_range
 from .radar import (NoiseKind, NoiseModel, Scenario, build_signals, reseed_scenario,
                     standard_environments, table_rows, true_bins)
+from .transforms import _as_int
 
 __all__ = [
     "Peak",
@@ -111,8 +112,7 @@ def find_peaks(surface: AmbiguitySurface, k: int) -> list[Peak]:
     Equal-magnitude maxima keep row-major order, so the list is
     deterministic.  A flat surface has no strict maxima and yields [].
     """
-    if k < 1:
-        raise ContractError("find_peaks: k must be >= 1")
+    k = _as_int(k, "find_peaks: 'k'", 1)
     mag = surface.magnitude()
     flat = mag.ravel()
     # Every strict maximum at or above the cut is found, so once k of them
@@ -201,7 +201,8 @@ def _majority(outcomes: Sequence[str]) -> str:
 def run_table(rows: Sequence[tuple[str, Scenario, str]],
               seeds: Sequence[int] = DEFAULT_SEEDS) -> list[TableRow]:
     """One aggregated row per (environment, scenario, variant) entry."""
-    if len(seeds) < 1:
+    seeds = [_as_int(seed, "trial seed", 0) for seed in seeds]  # all of them, before any trial
+    if not seeds:
         raise ContractError("run_table: need at least one trial seed")
     out = []
     for env_name, scn, variant in rows:

@@ -191,13 +191,11 @@ def vector_product(x, y) -> float:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
+    if x.shape != y.shape or x.ndim != 1 or x.size < 1:
         raise ContractError(
-            f"vector_product: need two 1-d vectors of equal length, "
+            f"vector_product: need two 1-d vectors of equal length >= 1, "
             f"got shapes {x.shape} and {y.shape}"
         )
-    if x.size < 1:
-        raise ContractError("vector_product: vectors must have length >= 1")
     _require_finite("vector_product", x, y)
     return float(np.sum(_mf_real_raw(x, y)))
 

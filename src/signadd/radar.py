@@ -31,7 +31,7 @@ import numpy as np
 
 from .ambiguity import SPEED_OF_LIGHT, AmbiguityVariant
 from .operator import ContractError, float_range
-from .transforms import ComplexSignal, _as_samples
+from .transforms import ComplexSignal, _as_int, _as_samples
 
 __all__ = [
     "StereoFmConfig",
@@ -84,9 +84,7 @@ class StereoFmConfig:
         if not (self.f_s > 2.0 * (3.0 * PILOT_HZ)):
             raise ContractError(f"StereoFmConfig: 'fs_hz' {self.f_s!r} must exceed twice the "
                                 f"highest message component {3.0 * PILOT_HZ} Hz")
-        if self.duration_samples < 1:
-            raise ContractError(f"StereoFmConfig: 'duration_samples' {self.duration_samples!r} "
-                                "must be >= 1")
+        _as_int(self.duration_samples, "StereoFmConfig: 'duration_samples'", 1)
         # |m| < 3.15 in gen_stereo_fm, so 4 bounds the message: the phase stays finite
         if not math.isfinite(2.0 * math.pi * abs(self.k_f) * 4.0):
             raise ContractError(f"StereoFmConfig: 'kf' {self.k_f!r} takes the phase past "
@@ -159,7 +157,7 @@ class Scenario:
         object.__setattr__(self, "tx_km", tuple(float(v) for v in self.tx_km))
         object.__setattr__(self, "rx_km", tuple(float(v) for v in self.rx_km))
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
-        if len(self.obstacles) < 1:
+        if not self.obstacles:
             raise ContractError("Scenario: need at least one obstacle")
         for key in ("surv_gain", "transform_input_gain"):
             if getattr(self, key) <= 0:
@@ -169,10 +167,10 @@ class Scenario:
                                                   for ob in self.obstacles)):
             raise ContractError(f"Scenario: 'surv_gain' {self.surv_gain!r} times the summed "
                                 "amplitudes of 'obstacles' passes the float range")
-        if self.n < 2 or (self.n & (self.n - 1)) != 0:
-            raise ContractError(f"Scenario: 'n' {self.n!r} must be a power of two")
-        if self.l_bins < 1:
-            raise ContractError(f"Scenario: 'l_bins' {self.l_bins!r} must be >= 1")
+        n = _as_int(self.n, "Scenario: 'n'")
+        if n < 2 or (n & (n - 1)) != 0:
+            raise ContractError(f"Scenario: 'n' {n} must be a power of two")
+        _as_int(self.l_bins, "Scenario: 'l_bins'", 1)
         if self.l_bins > self.fm.duration_samples:
             raise ContractError(f"Scenario: l_bins={self.l_bins} exceeds the reference length "
                                 f"fm.duration_samples={self.fm.duration_samples}")
@@ -262,9 +260,7 @@ def synth_surveillance(scn: Scenario, s_ref: ComplexSignal) -> ComplexSignal:
 
 
 def _rng(seed: int, what: str) -> np.random.Generator:
-    if seed < 0:
-        raise ContractError(f"{what}: 'seed' {seed!r} must be >= 0")
-    return np.random.default_rng(seed)
+    return np.random.default_rng(_as_int(seed, f"{what}: 'seed'", 0))
 
 
 def add_awgn(x, snr_db: float, seed: int) -> np.ndarray:
@@ -307,8 +303,7 @@ def build_signals(scn: Scenario) -> tuple[ComplexSignal, ComplexSignal]:
 def reseed_scenario(scn: Scenario, seed: int) -> Scenario:
     """Derive a trial scenario: waveform and noise seeds both follow the
     trial seed (noise offset keeps the two streams distinct)."""
-    if seed < 0:
-        raise ContractError(f"trial seed {seed} must be >= 0")
+    seed = _as_int(seed, "trial seed", 0)
     return replace(
         scn,
         fm=replace(scn.fm, seed=seed),

@@ -71,8 +71,9 @@ class ComplexSignal:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", _as_samples(self.samples, "ComplexSignal"))
-        if not (self.sample_rate_hz > 0):
-            raise ContractError("ComplexSignal: sample_rate_hz must be positive")
+        if not 0.0 < self.sample_rate_hz < np.inf:
+            raise ContractError(f"ComplexSignal: need a finite sample_rate_hz > 0, "
+                                f"got {self.sample_rate_hz!r}")
 
     def __len__(self) -> int:
         return self.samples.size
@@ -120,8 +121,7 @@ class TwiddleTable:
     )
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ContractError("TwiddleTable: size must be >= 1")
+        n = _as_int(n, "TwiddleTable: size", 1)
         m = np.arange(n)
         ang = (-2.0 * np.pi) * m / n
         entries = np.cos(ang) + 1j * np.sin(ang)
@@ -207,8 +207,8 @@ def twiddle_table(n: int) -> TwiddleTable:
 def unit_tone(k0: int, n: int) -> np.ndarray:
     """``exp(+2j*pi*k0*m/n)`` sampled on the same exact grid as the twiddles;
     ``k0`` is reduced mod ``n`` first, as ``k0 * m`` could pass the int64 range."""
-    tbl = twiddle_table(n)
-    return np.conj(tbl.entries[((k0 % n) * np.arange(n)) % n])
+    k0, n = _as_int(k0, "unit_tone: 'k0'"), _as_int(n, "unit_tone: 'n'", 1)
+    return np.conj(twiddle_table(n).entries[((k0 % n) * np.arange(n)) % n])
 
 
 def _as_samples(x, what: str, max_ndim: int = 1) -> np.ndarray:
@@ -222,6 +222,21 @@ def _as_samples(x, what: str, max_ndim: int = 1) -> np.ndarray:
         raise ContractError(f"{what}: need {shape} of length >= 1, got shape {s.shape}")
     _require_finite(what, s)
     return s
+
+
+def _as_int(x, what: str, minimum: int | None = None, max_ndim: int = 0):
+    """``x`` as a Python int, or with ``max_ndim=1`` as it is if a non-empty 1-d integer array
+    (no copy), at or above ``minimum``; else (a bool too) one ``ContractError`` naming ``what``."""
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):  # np.bool_ is no np.integer
+        x = low = int(x)
+    elif max_ndim and isinstance(x, np.ndarray) and x.ndim == 1 and x.size and x.dtype.kind in "iu":
+        low = x.min()
+    else:
+        also = " or a non-empty 1-d integer array" if max_ndim else ""
+        raise ContractError(f"{what} must be an integer{also}, got {' '.join(repr(x).split())}")
+    if minimum is not None and low < minimum:
+        raise ContractError(f"{what} {low} must be >= {minimum}")
+    return x
 
 
 # Elements per row block of the (rows x width) temporaries of ``dft_exact``, ``ndft``
@@ -286,6 +301,7 @@ def _radix2(v: np.ndarray, tbl: TwiddleTable, product) -> np.ndarray:
 
 
 def _require_pow2(n: int, what: str) -> int:
+    n = _as_int(n, f"{what}: size")
     if n < 2 or (n & (n - 1)) != 0:
         raise ContractError(f"{what}: size must be a power of two >= 2, got {n}")
     return int(np.log2(n))
@@ -383,7 +399,7 @@ def peak_index(s) -> int:
 
 
 def ndft_complex_ops(n: int) -> int:
-    return n * n
+    return _as_int(n, "ndft_complex_ops: size", 1) ** 2
 
 
 def nfft_complex_ops(n: int) -> int:
@@ -392,11 +408,11 @@ def nfft_complex_ops(n: int) -> int:
 
 
 def fft_complex_muls(n: int) -> int:
-    return (n // 2) * _require_pow2(n, "fft_complex_muls")
+    return _require_pow2(n, "fft_complex_muls") * n // 2
 
 
 def dft_complex_muls(n: int) -> int:
-    return n * n
+    return _as_int(n, "dft_complex_muls: size", 1) ** 2
 
 
 # kind -> (operation, count of one row of size N): the cost model of every transform
@@ -412,4 +428,4 @@ def transform_cost(kind, n: int, rows: int = 1) -> OpCountReport:
     """Cost of transforming ``rows`` rows of size ``n`` with the transform ``kind``
     (a ``TransformKind`` or its name)."""
     operation, per_row = _COSTS[TransformKind(kind)]
-    return operation(rows * per_row(n))
+    return operation(_as_int(rows, "transform_cost: 'rows'", 1) * per_row(n))

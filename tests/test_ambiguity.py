@@ -98,7 +98,7 @@ def test_lag_contract_errors():
 
 
 @pytest.mark.parametrize("l_bins,surv,ref,message", [
-    (0, signal(np.ones(8)), signal(np.ones(8)), "l_bins must be >= 1"),
+    (0, signal(np.ones(8)), signal(np.ones(8)), "^compute_ambiguity: 'l_bins' 0 must be >= 1$"),
     (4, signal(np.ones(8)), ComplexSignal(np.ones(8, dtype=complex), 2 * FS),
      "sample rates differ"),
     (4, np.ones(8, dtype=complex), np.ones(8, dtype=complex),

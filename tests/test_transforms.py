@@ -1,34 +1,42 @@
 """Transform oracles, peak properties, cost accounting, twiddle exactness."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signadd import (
+    AmbiguitySurface,
     ComplexSignal,
     ContractError,
     DomainError,
     NoiseModel,
     OpCountReport,
     Spectrum,
+    StereoFmConfig,
     TransformKind,
     add_awgn,
     add_contaminated,
     compute_ambiguity,
     dft_exact,
     fft_exact,
+    find_peaks,
+    gen_stereo_fm,
     lag_product_exact,
     lag_product_mf,
     ndft,
     nfft,
     peak_index,
+    reseed_scenario,
+    run_table,
     synth_surveillance,
     twiddle_table,
     two_targets_one_clutter,
     unit_tone,
 )
-from signadd import transforms
+from signadd import detection, transforms
 from signadd.radar import apply_noise
 from signadd.transforms import (
     dft_complex_muls,
@@ -61,6 +69,9 @@ def test_complex_signal_validation():
         ComplexSignal(np.array([], dtype=complex), 1.0)
     with pytest.raises(ContractError):
         ComplexSignal(np.ones(4, dtype=complex), 0.0)
+    for rate in (np.inf, -np.inf, np.nan):  # a rate past the float range gives no bin sizes
+        with pytest.raises(ContractError, match=r"^ComplexSignal: need a finite sample_rate_hz"):
+            ComplexSignal(np.ones(4, dtype=complex), rate)
     with pytest.raises(Exception):
         ComplexSignal(np.array([np.nan + 0j, 1 + 0j]), 1.0)
 
@@ -117,6 +128,104 @@ def test_sample_contract_passes_a_signal_through():
     sig = ComplexSignal(unit_tone(3, 16), 200_000.0)
     assert transforms._as_samples(sig, "x") is sig.samples
     assert transforms._as_samples(sig, "x", max_ndim=2) is sig.samples
+
+
+# The one integer contract, transforms._as_int: per site, its call on one integer
+# argument, the name its error starts with, a value it takes and its least value
+# (None: any integer; a power-of-two site names its own rule below 2).  Each value
+# plus 0.5, or as a float, is a call that reached numpy before the contract.
+_SIG = ComplexSignal(np.ones(16), 1.0)
+_FLAT = AmbiguitySurface(np.ones((4, 8), dtype=complex), "eq11", 1.0)
+_TAKES_INTS = {
+    "TwiddleTable": (transforms.TwiddleTable, "TwiddleTable: size", 2, 1),
+    "unit_tone-k0": (lambda v: unit_tone(v, 8), "unit_tone: 'k0'", 1, None),
+    "unit_tone-n": (lambda v: unit_tone(3, v), "unit_tone: 'n'", 8, 1),
+    "lag_product_exact-lag": (lambda v: lag_product_exact(np.ones(8), np.ones(8), v), "lag", 1, 0),
+    "lag_product_mf-lag": (lambda v: lag_product_mf(np.ones(8), np.ones(8), v), "lag", 1, 0),
+    "lag_product_exact-n": (lambda v: lag_product_exact(np.ones(8), np.ones(8), 0, v), "n", 4, 1),
+    "lag_product_mf-n": (lambda v: lag_product_mf(np.ones(8), np.ones(8), 0, v), "n", 4, 1),
+    "compute_ambiguity-l_bins": (lambda v: compute_ambiguity("eq11", _SIG, _SIG, v, 8),
+                                 "compute_ambiguity: 'l_bins'", 2, 1),
+    "compute_ambiguity-n": (lambda v: compute_ambiguity("eq11", _SIG, _SIG, 2, v),
+                            "compute_ambiguity: size", 8, 2),
+    "find_peaks": (lambda v: find_peaks(_FLAT, v), "find_peaks: 'k'", 1, 1),
+    "run_table": (lambda v: run_table([("s", _SCENE, "eq11")], seeds=[0, v]), "trial seed", 1, 0),
+    "reseed_scenario": (lambda v: reseed_scenario(_SCENE, v), "trial seed", 1, 0),
+    "gen_stereo_fm": (lambda v: gen_stereo_fm(StereoFmConfig(seed=v)),
+                      "gen_stereo_fm: 'seed'", 1, 0),
+    "add_awgn": (lambda v: add_awgn(np.ones(8), 3.0, v), "add_awgn: 'seed'", 1, 0),
+    "add_contaminated": (lambda v: add_contaminated(np.ones(8), 0.9, 0.25, 10.0, v),
+                         "add_contaminated: 'seed'", 1, 0),
+    "ndft_complex_ops": (ndft_complex_ops, "ndft_complex_ops: size", 8, 1),
+    "nfft_complex_ops": (nfft_complex_ops, "nfft_complex_ops: size", 8, 2),
+    "fft_complex_muls": (fft_complex_muls, "fft_complex_muls: size", 8, 2),
+    "dft_complex_muls": (dft_complex_muls, "dft_complex_muls: size", 8, 1),
+    "transform_cost-rows": (lambda v: transforms.transform_cost("nfft", 8, v),
+                            "transform_cost: 'rows'", 2, 1),
+    "Scenario-n": (lambda v: replace(_SCENE, n=v), "Scenario: 'n'", 64, 2),
+    "Scenario-l_bins": (lambda v: replace(_SCENE, l_bins=v), "Scenario: 'l_bins'", 2, 1),
+    "StereoFmConfig": (lambda v: StereoFmConfig(duration_samples=v),
+                       "StereoFmConfig: 'duration_samples'", 2, 1),
+}
+_NOT_INTS = {  # kind -> a value that is no integer of the site's range, from (valid, least)
+    "fraction": lambda v, least: v + 0.5,
+    "integral-float": lambda v, least: float(v),
+    "bool": lambda v, least: True,
+    "np.bool_": lambda v, least: np.True_,
+    "below": lambda v, least: least - 1,
+    "2-d": lambda v, least: np.full((2, 2), v),
+}
+_INT_CASES = [pytest.param(site, make(valid, least), id=f"{site}-{kind}")
+              for site, (_, _, valid, least) in _TAKES_INTS.items()
+              for kind, make in _NOT_INTS.items() if least is not None or kind != "below"]
+_INT_CASES += [pytest.param(site, value, id=case) for case, site, value in [
+    ("lag-empty-list", "lag_product_exact-lag", []),
+    ("lag-empty-array", "lag_product_mf-lag", np.array([], dtype=int)),
+    ("lag-2-d-list", "lag_product_exact-lag", [[0, 1], [1, 2]]),
+    ("lag-float-array", "lag_product_mf-lag", np.array([0.0, 1.0])),
+    ("lag-bool-array", "lag_product_exact-lag", np.array([True, False])),
+    ("lag-negative-in-array", "lag_product_mf-lag", np.array([1, -1, 0])),
+    ("n-negative", "lag_product_exact-n", -2),
+    ("n-zero", "compute_ambiguity-n", 0),
+]]
+
+
+@pytest.mark.parametrize("site,value", _INT_CASES)
+def test_int_contract_names_function_or_argument(site, value):
+    call, what, _, least = _TAKES_INTS[site]
+    with pytest.raises(ContractError) as err:
+        call(value)
+    message = str(err.value)
+    assert message.startswith(f"{what} ") and "\n" not in message, message
+    if type(value) is int and "power of two" not in message:
+        assert message == f"{what} {value} must be >= {least}"
+
+
+@pytest.mark.parametrize("site", _TAKES_INTS)
+def test_int_contract_takes_numpy_integers(site):
+    call, _, valid, _ = _TAKES_INTS[site]
+    for v in (np.int64(valid), np.int32(valid), np.uint16(valid)):
+        call(v)
+    assert type(transforms._as_int(np.uint16(valid), "x")) is int
+
+
+def test_int_contract_takes_row_block_lags_as_they_are():
+    # compute_ambiguity hands _lag_slices each of _row_blocks' int64 index arrays
+    surv, ref = np.ones(4096), np.ones(4160)
+    for block in transforms._row_blocks(64, 4096):
+        assert transforms._as_int(block, "lag", 0, max_ndim=1) is block
+        rows = lag_product_mf(surv, ref, block, 4096)
+        assert rows.shape == (block.size, 4096)
+        per_lag = np.stack([lag_product_mf(surv, ref, l, 4096) for l in block])
+        assert rows.tobytes() == per_lag.tobytes()
+
+
+def test_run_table_checks_every_seed_before_the_first_trial(monkeypatch):
+    trials = []
+    monkeypatch.setattr(detection, "run_scenario", lambda *args: trials.append(args))
+    with pytest.raises(ContractError, match=r"^trial seed -1 must be >= 0$"):
+        run_table([("s", _SCENE, "eq11")], seeds=[0, 1, -1])
+    assert trials == []
 
 
 # --- twiddle table ---------------------------------------------------------------
