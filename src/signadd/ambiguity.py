@@ -203,6 +203,8 @@ _STAGES = {
 def surface_cost(variant, l_bins: int, n: int) -> tuple[OpCountReport, OpCountReport]:
     """(lag product, transform) cost of an ``l_bins`` x ``n`` surface of a variant."""
     mf_lag, nonlinear = _STAGES[AmbiguityVariant(variant)]
+    l_bins = _as_int(l_bins, "surface_cost: 'l_bins'", 1)
+    _require_pow2(n, "surface_cost")
     lag = OpCountReport.complex if mf_lag else OpCountReport.complex_mul
     kind = TransformKind.NFFT if nonlinear else TransformKind.FFT_EXACT
     return lag(l_bins * n), transform_cost(kind, n, l_bins)

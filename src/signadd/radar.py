@@ -31,7 +31,7 @@ import numpy as np
 
 from .ambiguity import SPEED_OF_LIGHT, AmbiguityVariant
 from .operator import ContractError, float_range
-from .transforms import ComplexSignal, _as_int, _as_samples
+from .transforms import ComplexSignal, _as_int, _as_samples, _require_pow2
 
 __all__ = [
     "StereoFmConfig",
@@ -167,9 +167,7 @@ class Scenario:
                                                   for ob in self.obstacles)):
             raise ContractError(f"Scenario: 'surv_gain' {self.surv_gain!r} times the summed "
                                 "amplitudes of 'obstacles' passes the float range")
-        n = _as_int(self.n, "Scenario: 'n'")
-        if n < 2 or (n & (n - 1)) != 0:
-            raise ContractError(f"Scenario: 'n' {n} must be a power of two")
+        _require_pow2(self.n, "Scenario: 'n'")
         _as_int(self.l_bins, "Scenario: 'l_bins'", 1)
         if self.l_bins > self.fm.duration_samples:
             raise ContractError(f"Scenario: l_bins={self.l_bins} exceeds the reference length "

@@ -108,9 +108,9 @@ class TwiddleTable:
 
     Entries at quarter-turn multiples are exact (1, -1j, -1, 1j); the rest
     come from cos/sin of the reduced angle.  For power-of-two sizes the
-    table also caches, on first use, the bit-reversal permutation, the
-    gather at the split of ``_radix2`` and, per row count of a block, each
-    radix-2 stage's twiddles and ``nfft`` parts.
+    table also caches, on first use, the bit-reversal permutation, each
+    radix-2 stage's twiddles and the gathers at the split of ``_radix2``;
+    the stages' layouts over a block come from ``_stage_layouts``.
     """
 
     _QUADRANT = (
@@ -131,7 +131,7 @@ class TwiddleTable:
         self.n = n
         self.entries = entries
         self.entries.setflags(write=False)
-        self._laid = {}
+        self._gathers = {}
 
     @cached_property
     def bit_reverse(self) -> np.ndarray:
@@ -152,38 +152,13 @@ class TwiddleTable:
         """Row indices that take the natural-order data of ``_radix2`` after
         ``split`` stages, ``(h, N/h)`` with ``h = 2**split``, to the in-place
         layout ``(N/h, h)``, whose block ``j`` holds residue class ``rev(j)``."""
-        idx = self._laid.get(("split", split))
+        idx = self._gathers.get(split)
         if idx is None:
             m = self.n >> split
             rev = self.bit_reverse[:m] >> split  # rev(j) over log2(m) bits
-            idx = self._laid["split", split] = (rev[:, None] + m * np.arange(1 << split)).ravel()
+            idx = self._gathers[split] = (rev[:, None] + m * np.arange(1 << split)).ravel()
             idx.setflags(write=False)
         return idx
-
-    def _by_rows(self, key, make) -> tuple:
-        """``make(w)`` of each stage's twiddles ``w``, cached under ``key``."""
-        laid = self._laid.get(key)
-        if laid is None:
-            laid = self._laid[key] = tuple(make(w) for w in self._stages)
-        return laid
-
-    def stage_twiddles(self, rows: int) -> tuple:
-        """Per radix-2 stage, its twiddles laid out ``(h, rows)`` over the
-        columns of an ``(N, rows)`` block."""
-        return self._by_rows(("fft", rows), lambda w: _laid_out(w, rows))
-
-    def nfft_stages(self, rows: int) -> tuple:
-        """Per radix-2 stage, the signs and the magnitudes of the real and the
-        imaginary part of its twiddles, ``(s_wr, s_wi, m_wr, m_wi)``, each laid
-        out ``(h, rows, 2)`` over the float view of an ``(N, rows)`` block."""
-        return self._by_rows(("nfft", rows), lambda w: _laid_parts(w, rows, 2))
-
-    @cached_property
-    def natural_parts(self) -> tuple:
-        """Per radix-2 stage, the ``nfft`` parts of its twiddles shaped
-        ``(h, 1, 1)``: constant along each row of a natural-order stage's odd
-        branch, they broadcast over its float view ``(h, r*rows, 2)``."""
-        return tuple(_laid_parts(w, 1, 1) for w in self._stages)
 
 
 def _laid_out(w: np.ndarray, *shape) -> np.ndarray:
@@ -202,6 +177,19 @@ def _laid_parts(w: np.ndarray, *shape) -> tuple:
 @lru_cache(maxsize=32)
 def twiddle_table(n: int) -> TwiddleTable:
     return TwiddleTable(n)
+
+
+@lru_cache(maxsize=8)
+def _stage_layouts(tbl: TwiddleTable, rows: int, split: int, kind: TransformKind) -> tuple:
+    """Per radix-2 stage of ``tbl``, its twiddles in the layout ``_radix2`` runs
+    the stage in over ``rows`` rows: ``(h, 1)`` along the rows of a
+    natural-order stage's odd branch ``(h, r*rows)``, ``(h, rows)`` over the
+    blocks of an in-place one's ``(r, h, rows)``.  For ``nfft`` they are the
+    parts ``(s_wr, s_wi, m_wr, m_wi)`` on the float views, ``(h, 1, 1)`` and
+    ``(h, rows, 2)``.  Eight layouts hold the benchmark's four (DECISIONS.md 13)."""
+    lay, natural, in_place = ((_laid_parts, (1, 1), (rows, 2)) if kind is TransformKind.NFFT
+                              else (_laid_out, (1,), (rows,)))
+    return tuple(lay(w, *(natural if s < split else in_place)) for s, w in enumerate(tbl._stages))
 
 
 def unit_tone(k0: int, n: int) -> np.ndarray:
@@ -338,10 +326,8 @@ def fft_exact(x) -> Spectrum:
     n = v.shape[-1]
     _require_pow2(n, "fft_exact")
     tbl = twiddle_table(n)
-    # by the odd branch's ndim: (h, 1) twiddles broadcast along a natural-order
-    # stage's rows, (h, rows) ones laid out over an in-place stage's blocks
-    w = {2: tbl.stage_twiddles(1), 3: tbl.stage_twiddles(v.size // n)}
-    return Spectrum(_radix2(v, tbl, lambda s, b: w[b.ndim][s] * b), TransformKind.FFT_EXACT)
+    w = _stage_layouts(tbl, v.size // n, _split(n), TransformKind.FFT_EXACT)
+    return Spectrum(_radix2(v, tbl, lambda s, b: w[s] * b), TransformKind.FFT_EXACT)
 
 
 @float_range("ndft")
@@ -382,12 +368,12 @@ def nfft(x) -> Spectrum:
     n = v.shape[-1]
     _require_pow2(n, "nfft")
     tbl = twiddle_table(n)
-    parts = {2: tbl.natural_parts, 3: tbl.nfft_stages(v.size // n)}  # as in fft_exact
+    parts = _stage_layouts(tbl, v.size // n, _split(n), TransformKind.NFFT)
     f = np.ascontiguousarray(v).view(float)
     unity = (np.sign(f) * (1.0 + np.abs(f))).view(complex)
 
     def product(s, b):  # the bottom stage's products are the unity ones, taken up front
-        return b if s == 0 else _mf_complex_laid(parts[b.ndim][s], b)
+        return b if s == 0 else _mf_complex_laid(parts[s], b)
 
     return Spectrum(_radix2(unity, tbl, product), TransformKind.NFFT)
 

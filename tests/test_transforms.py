@@ -31,6 +31,7 @@ from signadd import (
     peak_index,
     reseed_scenario,
     run_table,
+    surface_cost,
     synth_surveillance,
     twiddle_table,
     two_targets_one_clutter,
@@ -160,9 +161,11 @@ _TAKES_INTS = {
     "nfft_complex_ops": (nfft_complex_ops, "nfft_complex_ops: size", 8, 2),
     "fft_complex_muls": (fft_complex_muls, "fft_complex_muls: size", 8, 2),
     "dft_complex_muls": (dft_complex_muls, "dft_complex_muls: size", 8, 1),
+    "surface_cost-l_bins": (lambda v: surface_cost("eq11", v, 8), "surface_cost: 'l_bins'", 2, 1),
+    "surface_cost-n": (lambda v: surface_cost("eq11", 2, v), "surface_cost: size", 8, 2),
     "transform_cost-rows": (lambda v: transforms.transform_cost("nfft", 8, v),
                             "transform_cost: 'rows'", 2, 1),
-    "Scenario-n": (lambda v: replace(_SCENE, n=v), "Scenario: 'n'", 64, 2),
+    "Scenario-n": (lambda v: replace(_SCENE, n=v), "Scenario: 'n': size", 64, 2),
     "Scenario-l_bins": (lambda v: replace(_SCENE, l_bins=v), "Scenario: 'l_bins'", 2, 1),
     "StereoFmConfig": (lambda v: StereoFmConfig(duration_samples=v),
                        "StereoFmConfig: 'duration_samples'", 2, 1),
@@ -493,26 +496,58 @@ def test_nfft_matches_recursive_bitwise_signed_zeros(n, kind):
 def test_nfft_stage_parts_match_pairwise_kernel():
     # Term for term, signs of zero included: the bins cannot show these,
     # because each product is added to an even branch that is never -0.0.
+    # Each stage's parts meet the odd branch in the layout _radix2 runs it in.
     g = rng()
-    n, rows = 64, 3
-    tbl = twiddle_table(n)
-    for s, parts in enumerate(tbl.nfft_stages(rows)):
-        h = 1 << s
-        assert [part.shape for part in parts] == [(h, rows, 2)] * 4
-        w = tbl.entries[np.arange(h) * (n // (2 * h)), None]
-        b_r, b_i = planted_zero_planes(g, (n // (2 * h), h, rows))
-        # the odd branch as the stage sees it: a strided view of the block
-        block = np.zeros((n // (2 * h), 2, h, rows), dtype=complex)
-        block[:, 1] = from_planes(b_r, b_i)
-        t = _mf_complex_laid(parts, block[:, 1])
-        got = t.real, t.imag
-        want = _mf_complex_raw(w.real, w.imag, b_r, b_i)
-        assert np.stack(got).tobytes() == np.stack(want).tobytes()
-        # The -W branch is a - t: equal to a + (-W) (*) b for an even branch
-        # a that is never -0.0, here planted with +0.0 and the ordinary values.
-        a_r, a_i = planted_zero_planes(g, b_r.shape)
-        a_r[a_r == 0], a_i[a_i == 0] = 0.0, 0.0
-        assert_minus_branch_is_difference(w, b_r, b_i, a_r, a_i, got)
+    n = 64
+    tbl, split = twiddle_table(n), transforms._split(n)
+    for rows in (1, 3):
+        layouts = transforms._stage_layouts(tbl, rows, split, TransformKind.NFFT)
+        for s, parts in enumerate(layouts):
+            h, r = 1 << s, n // (2 << s)
+            if s < split:  # natural order: (h, 2, r*rows), the odd branch (h, r*rows)
+                laid, branch = (h, 1, 1), (h, r * rows)
+            else:  # in place: (r, 2, h, rows), the odd branch (r, h, rows)
+                laid, branch = (h, rows, 2), (r, h, rows)
+            assert [part.shape for part in parts] == [laid] * 4, (rows, s)
+            w = tbl.entries[np.arange(h) * r, None]
+            b_r, b_i = planted_zero_planes(g, branch)
+            # the odd branch as the stage sees it: a strided view of the block
+            block = np.zeros(branch[:1] + (2,) + branch[1:], dtype=complex)
+            block[:, 1] = from_planes(b_r, b_i)
+            t = _mf_complex_laid(parts, block[:, 1])
+            got = t.real, t.imag
+            want = _mf_complex_raw(w.real, w.imag, b_r, b_i)
+            assert np.stack(got).tobytes() == np.stack(want).tobytes(), (rows, s)
+            # The -W branch is a - t: equal to a + (-W) (*) b for an even branch
+            # a that is never -0.0, here planted with +0.0 and the ordinary values.
+            a_r, a_i = planted_zero_planes(g, b_r.shape)
+            a_r[a_r == 0], a_i[a_i == 0] = 0.0, 0.0
+            assert_minus_branch_is_difference(w, b_r, b_i, a_r, a_i, got)
+
+
+def test_stage_layouts_stay_bounded_and_hold_the_benchmark_keys():
+    # One layout per (table, rows, split, kind), in a cache of a fixed size:
+    # a run over many row counts keeps no more than that, and the keys of
+    # the benchmark's blocks, (4, 4096) surface rows and a 2048-point
+    # spectrum, stay cached side by side.
+    def transform_all(blocks):
+        for x in blocks:
+            nfft(x)
+            fft_exact(x)
+
+    g = rng()
+    transform_all(batch_rows(g, rows, 64) for rows in range(1, 41))
+    info = transforms._stage_layouts.cache_info()
+    assert info.currsize <= info.maxsize
+    blocks = [batch_rows(g, 4, 4096), batch_rows(g, 1, 2048)[0]]
+    transform_all(blocks)
+    hits = transforms._stage_layouts.cache_info().hits
+    transform_all(blocks)
+    assert transforms._stage_layouts.cache_info().hits == hits + 4
+    for n, rows in ((4096, 4), (2048, 1)):
+        for kind in (TransformKind.NFFT, TransformKind.FFT_EXACT):
+            key = twiddle_table(n), rows, transforms._split(n), kind
+            assert transforms._stage_layouts(*key) is transforms._stage_layouts(*key)
 
 
 def test_nfft_unity_product_matches_pairwise_kernel(monkeypatch):

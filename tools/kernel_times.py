@@ -7,10 +7,14 @@ one fresh process per checkout, in alternating order (round 0 in the
 order given, round 1 reversed, and so on).  A process first runs
 ``run_table(default_table_rows(), seeds=[seed])``, one cycle of the
 ``campaign`` workload, so the kernels are timed in the heap state that the
-benchmark runs them in.  Then it times ``calls`` calls of each kernel on
-the first ``(4, 4096)`` row block of the first default row's surface:
+benchmark runs them in.  Then it times ``calls`` calls of each kernel,
+most on the first ``(4, 4096)`` row block of the first default row's
+surface:
 
 * ``nfft`` and ``fft_exact`` on the block's sign-additive lag product,
+* ``nfft`` and ``fft_exact`` on a seeded 1-d N=2048 complex Gaussian
+  signal, the shape of the ``files`` workload's ``transform`` command
+  (``nfft[2048]`` and ``fft_exact[2048]``),
 * ``lag_product_mf`` and ``lag_product_exact`` for the block's lags.
 
 It prints one line per checkout and kernel: the median milliseconds per
@@ -30,7 +34,9 @@ import subprocess
 import sys
 import time
 
-KERNELS = ("nfft", "fft_exact", "lag_product_mf", "lag_product_exact")
+import numpy as np
+
+KERNELS = ("nfft", "fft_exact", "nfft[2048]", "fft_exact[2048]", "lag_product_mf", "lag_product_exact")
 
 
 def _worker(root: str, calls: int, seed: int) -> dict:
@@ -48,9 +54,13 @@ def _worker(root: str, calls: int, seed: int) -> dict:
     s_ref, s_surv = build_signals(scn)
     lags = transforms._row_blocks(scn.l_bins, scn.n)[0]
     y = ambiguity.lag_product_mf(s_surv, s_ref, lags, scn.n)
+    g = np.random.default_rng(seed)
+    x = g.standard_normal(2048) + 1j * g.standard_normal(2048)
     runs = {
         "nfft": lambda: transforms.nfft(y),
         "fft_exact": lambda: transforms.fft_exact(y),
+        "nfft[2048]": lambda: transforms.nfft(x),
+        "fft_exact[2048]": lambda: transforms.fft_exact(x),
         "lag_product_mf": lambda: ambiguity.lag_product_mf(s_surv, s_ref, lags, scn.n),
         "lag_product_exact": lambda: ambiguity.lag_product_exact(s_surv, s_ref, lags, scn.n),
     }
