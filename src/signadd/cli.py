@@ -13,9 +13,11 @@ Four subcommands, all deterministic given their flags and seeds:
 Every numeric output is CSV, written by :mod:`signadd.csvout` ('.' decimal,
 '\\n' line ends, full round-trip float formatting).  Each output references
 a JSON manifest written next to it (the manifest carries the timestamp so the
-CSVs themselves stay byte-identical across reruns).  A command streams each
-CSV, slice by slice, into a temp name and renames its outputs into place
-only once every one is complete, so failures never leave partial outputs.
+CSVs themselves stay byte-identical across reruns).  A command only computes
+and returns its argument description, op counts, files and any standard
+output.  ``main`` streams each CSV, slice by slice, into a temp name, renames
+the outputs into place only once every one is complete, then prints, so
+failures never leave partial outputs.
 
 The scenario file format is documented in the README ("Scenario JSON");
 its field tables live in :mod:`signadd.radar`.  Unknown or ill-typed keys fail
@@ -74,10 +76,8 @@ def _write_outputs(prefix: str, files: dict, manifest: bytes) -> None:
                 os.remove(path + ".tmp")
 
 
-def _manifest(prefix: str, command: str, args_desc: dict,
-              counts: OpCountReport | None = None) -> tuple[str, bytes]:
-    """(file name, bytes) of the manifest that the outputs under ``prefix``
-    reference."""
+def _manifest(command: str, args_desc: dict, counts: OpCountReport | None) -> bytes:
+    """The manifest that a command's outputs reference."""
     doc = {
         "tool": f"signadd {__version__}",
         "created_utc": datetime.now(timezone.utc).isoformat(),
@@ -88,8 +88,7 @@ def _manifest(prefix: str, command: str, args_desc: dict,
     }
     if counts is not None:
         doc["op_counts"] = asdict(counts)
-    data = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
-    return os.path.basename(prefix) + ".manifest.json", data
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
 
 def _read_signal_csv(path: str) -> np.ndarray:
@@ -115,7 +114,7 @@ def _read_signal_csv(path: str) -> np.ndarray:
     return np.asarray(vals, dtype=complex)
 
 
-def _cmd_transform(args) -> int:
+def _cmd_transform(args, name: str):
     if (args.tone is None) == (args.input is None):
         raise ContractError("transform: give exactly one of --tone or --input")
     if args.n is not None and args.n < 1:
@@ -134,11 +133,6 @@ def _cmd_transform(args) -> int:
     with float_range(f"transform: the {args.kind} spectrum of {args.input or '--tone'}"):
         spectrum = _TRANSFORMS[args.kind](x)
         mag = spectrum.magnitude()
-    name, manifest = _manifest(
-        args.out, "transform",
-        {"kind": args.kind, "n": int(x.size), "tone": args.tone,
-         "input": args.input},
-        spectrum.op_counts)
     files = {".spectrum.csv": csvout._csv_bytes(
         ["k", "re", "im", "magnitude"],
         [np.arange(x.size), spectrum.bins.real, spectrum.bins.imag, mag], name)}
@@ -146,11 +140,11 @@ def _cmd_transform(args) -> int:
         files[".spectrum.svg"] = line_svg(
             np.arange(x.size), mag, f"{args.kind} magnitude, N={x.size}",
             "bin k", "|X[k]|", name).encode()
-    _write_outputs(args.out, files, manifest)
-    return 0
+    return ({"kind": args.kind, "n": int(x.size), "tone": args.tone, "input": args.input},
+            spectrum.op_counts, files, None)
 
 
-def _cmd_ambiguity(args) -> int:
+def _cmd_ambiguity(args, name: str):
     # imported at call time: perfbench's tracer wraps this name in signadd.detection
     from .detection import surface_for_scenario
 
@@ -158,14 +152,9 @@ def _cmd_ambiguity(args) -> int:
     if args.seed is not None:
         scn = reseed_scenario(scn, args.seed)
     surface = surface_for_scenario(scn, args.variant)
-    name, manifest = _manifest(
-        args.out, "ambiguity",
-        {"scenario_sha256": scenario_hash(scn), "variant": args.variant,
-         "seed": args.seed},
-        surface.op_counts)
     ls, range_km, row_db = surface.range_cut()
     freqs, col_db = surface.doppler_cut()
-    n, mag, peak = surface.n, surface.magnitude().ravel(), surface._peak
+    n, mag, peak, counts = surface.n, surface.magnitude().ravel(), surface._peak, surface.op_counts
     del surface  # frees the complex values: the surface CSV reads only the magnitude
 
     def columns(s):
@@ -186,11 +175,11 @@ def _cmd_ambiguity(args) -> int:
         files[".doppler_cut.svg"] = line_svg(
             freqs, col_db, f"Doppler cut ({args.variant})",
             "Doppler [Hz]", "level [dB]", name).encode()
-    _write_outputs(args.out, files, manifest)
-    return 0
+    return ({"scenario_sha256": scenario_hash(scn), "variant": args.variant, "seed": args.seed},
+            counts, files, None)
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args, name: str):
     seeds = args.seeds if args.seeds is not None else list(DEFAULT_SEEDS)
     if not seeds:
         raise ContractError("table: --seeds needs at least one seed")
@@ -203,21 +192,18 @@ def _cmd_table(args) -> int:
         seeds = seeds[: args.trials]
     rows = default_table_rows() if args.set == "default" else load_table_set(args.set)
     results = run_table(rows, seeds=seeds)
-    name, manifest = _manifest(
-        args.out, "table",
-        {"set": args.set, "seeds": list(seeds), "rows": len(results)})
     header = "environment variant noise performance sidelobe_floor_db trials seeds".split()
     cells = [(r.environment, r.variant, r.noise, r.performance, r.sidelobe_floor_db,
               r.trials, " ".join(str(s) for s in r.seeds)) for r in results]
-    _write_outputs(args.out, {".table.csv": csvout._csv_bytes(header, list(zip(*cells)), name)},
-                   manifest)
-    return 0
+    return ({"set": args.set, "seeds": list(seeds), "rows": len(results)},
+            sum((r.op_counts for r in results), OpCountReport()),
+            {".table.csv": csvout._csv_bytes(header, list(zip(*cells)), name)}, None)
 
 
 _OPS = ("complex_mf", "sign", "abs", "add", "complex_mul")  # OpCountReport "<op>_ops" fields
 
 
-def _cmd_opcount(args) -> int:
+def _cmd_opcount(args, name: str):
     if not args.n_list:
         raise ContractError("opcount: --n-list needs at least one size")
     if min(args.n_list) < 1:
@@ -230,15 +216,12 @@ def _cmd_opcount(args) -> int:
             c, model = _TRANSFORMS[kind](unit_tone(1, n)).op_counts, transform_cost(kind, n)
             rows.append((n, kind, *(getattr(r, f"{op}_ops") for op in _OPS for r in (c, model)),
                          "yes" if c == model else "no"))
-    name, manifest = _manifest(args.out, "opcount", {"n_list": args.n_list})
     # The "measured" columns hold the counts each transform reports.
     header = ["n", "transform", *(f"{op}_{side}" for op in _OPS
                                   for side in ("measured", "analytic")), "matches"]
-    _write_outputs(args.out, {".opcount.csv": csvout._csv_bytes(header, list(zip(*rows)), name)},
-                   manifest)
-    print(f"butterfly counts: " + ", ".join(
-        f"N={n}: {fft_complex_muls(n)}" for n in args.n_list))
-    return 0
+    return ({"n_list": args.n_list}, None,
+            {".opcount.csv": csvout._csv_bytes(header, list(zip(*rows)), name)},
+            "butterfly counts: " + ", ".join(f"N={n}: {fft_complex_muls(n)}" for n in args.n_list))
 
 
 def _int_list(what: str, text: str) -> list[int]:
@@ -298,15 +281,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        folder = os.path.dirname(args.out) or "."
-        if os.path.basename(args.out) in ("", ".", ".."):  # checked before anything is computed
+        folder, stem = os.path.dirname(args.out) or ".", os.path.basename(args.out)
+        if stem in ("", ".", ".."):  # checked before anything is computed
             raise ContractError(f"--out {args.out!r}: the prefix ends in a folder, not a file name")
         if not os.path.isdir(folder):
             raise ContractError(f"--out {args.out}: {folder} is not an existing directory")
-        return args.func(args)
+        args_desc, counts, files, stdout = args.func(args, stem + ".manifest.json")
+        _write_outputs(args.out, files, _manifest(args.command, args_desc, counts))
     except (ContractError, DomainError, SchemaError, OSError) as exc:
         print(f"signadd {args.command}: error: {exc}", file=sys.stderr)
         return 1
+    if stdout is not None:
+        print(stdout)
+    return 0
 
 
 if __name__ == "__main__":

@@ -11,7 +11,8 @@ surface.
 ``run_table`` repeats a scenario over a list of trial seeds (waveform and
 noise reseeded per trial) with ``run_scenario`` and aggregates: majority
 detection outcome, median floor.  Ties in the majority vote resolve to the
-worse outcome.  A row's op counts are its trials' surface costs.
+worse outcome.  A row keeps its trials' reports, in seed order, and its op
+counts are its trials' surface costs.
 """
 
 from __future__ import annotations
@@ -85,6 +86,7 @@ class TableRow:
     trials: int
     seeds: tuple[int, ...]
     op_counts: OpCountReport
+    reports: tuple[DetectionReport, ...]  # one per trial, in seed order
 
 
 def _strict_maxima(mag: np.ndarray, cut: float) -> tuple[np.ndarray, np.ndarray]:
@@ -220,6 +222,7 @@ def run_table(rows: Sequence[tuple[str, Scenario, str]],
             trials=len(seeds),
             seeds=tuple(seeds),
             op_counts=lag + transform,
+            reports=tuple(reports),
         ))
     return out
 

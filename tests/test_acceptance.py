@@ -36,6 +36,7 @@ from signadd import (
     nfft,
     peak_index,
     run_scenario,
+    run_table,
     two_targets_one_clutter,
     true_bins,
     unit_tone,
@@ -217,14 +218,11 @@ def _noise_free_eq12a(seeds: range) -> tuple:
     return tuple(run_scenario(scn, "eq12a", seed=s).statuses for s in seeds)
 
 
-@functools.lru_cache(maxsize=None)
-def _contaminated_evidence(scn, seeds: range) -> str:
-    """Per-object counts behind criterion 6's two totals."""
-    r12a = [run_scenario(scn, "eq12a", seed=s).statuses for s in seeds]
-    r11 = [run_scenario(scn, "eq11", seed=s) for s in seeds]
+def _contaminated_evidence(r12a, r11, seeds: range) -> str:
+    """Per-object counts behind criterion 6's two totals, from the same trial reports."""
     outcomes = Counter(r.overall for r in r11)
     return (
-        f"eq12a per object (mover, mover, stationary): {_per_object(r12a)}; "
+        f"eq12a per object (mover, mover, stationary): {_per_object([r.statuses for r in r12a])}; "
         f"noise-free {_per_object(_noise_free_eq12a(seeds))}; eq11 outcomes "
         + ", ".join(f"{k} {v}/{len(seeds)}" for k, v in sorted(outcomes.items()))
         + f", median floor {median(r.sidelobe_floor_db for r in r11):.1f} dB")
@@ -233,19 +231,19 @@ def _contaminated_evidence(scn, seeds: range) -> str:
 def test_criterion_6_contaminated_robustness_trend():
     scn = two_targets_one_clutter(noise=CONTAMINATED)
     seeds = range(10)
-    det_12a = sum(run_scenario(scn, "eq12a", seed=s).overall == "detected"
-                  for s in seeds)
-    nodet_11 = sum(run_scenario(scn, "eq11", seed=s).overall == "no detection"
-                   for s in seeds)
+    r12a, r11 = (row.reports for row in run_table(
+        [("contaminated", scn, "eq12a"), ("contaminated", scn, "eq11")], seeds))
+    det_12a = sum(r.overall == "detected" for r in r12a)
+    nodet_11 = sum(r.overall == "no detection" for r in r11)
+    evidence = _contaminated_evidence(r12a, r11, seeds)
     ok = det_12a >= 8 and nodet_11 >= 8
     _status(6, "contaminated robustness trend", ok,
             f"eq12a detected {det_12a}/10 (need >=8), "
-            f"eq11 no-detection {nodet_11}/10 (need >=8); "
-            + _contaminated_evidence(scn, seeds))
+            f"eq11 no-detection {nodet_11}/10 (need >=8); " + evidence)
     assert ok, (
         f"eq12a detected {det_12a}/10 (need >= 8); "
         f"eq11 'no detection' {nodet_11}/10 (need >= 8).\n"
-        + _contaminated_evidence(scn, seeds) + "\n" + UNREACHABLE_NOTE)
+        + evidence + "\n" + UNREACHABLE_NOTE)
 
 
 def test_criterion_7_awgn_trend():

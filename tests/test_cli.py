@@ -2,11 +2,13 @@
 
 import argparse
 import csv
+import hashlib
 import io
 import json
 import os
 import tracemalloc
 import warnings
+from dataclasses import asdict
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -17,10 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signadd import (AmbiguitySurface, DomainError, NoiseKind, NoiseModel, cli, csvout,
-                     save_scenario, two_targets_one_clutter)
+from signadd import (AmbiguitySurface, DomainError, NoiseKind, NoiseModel, OpCountReport, cli,
+                     csvout, save_scenario, surface_cost, transform_cost, two_targets_one_clutter)
 from signadd.cli import main
-from signadd.radar import load_scenario, load_table_set
+from signadd.detection import default_table_rows
+from signadd.radar import load_scenario, load_table_set, reseed_scenario, scenario_hash
 from signadd.render import line_svg
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
@@ -846,6 +849,39 @@ def test_out_without_file_name_fails_before_computing(tmp_path, monkeypatch, cap
     assert os.listdir(tmp_path) == []
 
 
+# --- manifest ------------------------------------------------------------------------
+
+def _surface_model(variant, scn):
+    lag, transform = surface_cost(variant, scn.l_bins, scn.n)
+    return lag + transform
+
+
+@pytest.mark.parametrize("command", ["transform", "ambiguity", "table", "opcount"])
+def test_manifest_records_args_and_cost_model(tmp_path, command):
+    bench = DEMOS / "scenario_benchmark.json"
+    flags, args_desc, model = {
+        "transform": (["--kind", "nfft", "--tone", "3", "--n", "256"],
+                      {"kind": "nfft", "n": 256, "tone": 3, "input": None},
+                      transform_cost("nfft", 256)),
+        "ambiguity": (["--scenario", str(bench), "--variant", "eq12b", "--seed", "7"],
+                      {"scenario_sha256": scenario_hash(reseed_scenario(load_scenario(bench), 7)),
+                       "variant": "eq12b", "seed": 7},
+                      _surface_model("eq12b", load_scenario(bench))),
+        "table": (["--seeds", "0"], {"set": "default", "seeds": [0], "rows": 24},
+                  sum((_surface_model(v, scn) for _, scn, v in default_table_rows()),
+                      OpCountReport())),
+        # opcount's CSV is the counts; its manifest carries none
+        "opcount": (["--n-list", "2,16"], {"n_list": [2, 16]}, None),
+    }[command]
+    out = str(tmp_path / "o")
+    assert main([command, *flags, "--out", out]) == 0
+    doc = json.loads(file_bytes(out + ".manifest.json"))
+    assert doc["command"] == command and doc["args"] == args_desc
+    assert doc["args_sha256"] == hashlib.sha256(
+        json.dumps(doc["args"], sort_keys=True).encode()).hexdigest()
+    assert doc.get("op_counts") == (model and asdict(model))
+
+
 # --- opcount -------------------------------------------------------------------------
 
 def test_opcount_values(tmp_path):
@@ -862,6 +898,17 @@ def test_opcount_values(tmp_path):
     r = table[(64, "nfft")]
     assert int(r[4]) == 4 * int(r[2]) and int(r[6]) == 8 * int(r[2])
     assert int(r[8]) == 6 * int(r[2])
+
+
+def test_opcount_prints_only_after_its_files_are_in_place(tmp_path, capsys):
+    def failing(src, dst):
+        raise OSError(f"cannot rename {src}")
+
+    with mock.patch("signadd.cli.os.replace", failing):
+        assert main(["opcount", "--n-list", "2,4", "--out", str(tmp_path / "ops")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "cannot rename" in err
+    assert os.listdir(tmp_path) == []
 
 
 # --- CSV writer ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Peak extraction, classification, side-lobe floor, table aggregation."""
 
 import math
+import statistics
 from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
@@ -412,6 +413,16 @@ def test_run_table_single_trial_equals_classify():
     assert rows[0].performance == single.overall
     assert rows[0].sidelobe_floor_db == pytest.approx(single.sidelobe_floor_db)
     assert rows[0].trials == 1
+
+
+def test_run_table_row_keeps_its_trial_reports_in_seed_order():
+    scn = _tiny_scene(eps_contaminated())
+    seeds = [5, 2]
+    rows = run_table([("2t1c", scn, "eq11")], seeds=seeds)
+    reports = tuple(run_scenario(scn, "eq11", s) for s in seeds)
+    assert rows[0].reports == reports
+    assert rows[0].performance == _majority([r.overall for r in reports])
+    assert rows[0].sidelobe_floor_db == statistics.median(r.sidelobe_floor_db for r in reports)
 
 
 def test_report_seed_is_the_trial_seed():
